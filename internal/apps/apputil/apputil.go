@@ -59,15 +59,18 @@ func (a *Auto) IterSym(loop int) string {
 	return a.Compiled.Parallel[loop].IterSym
 }
 
-// AccessSym finds the canonical partition symbol of the first access in
-// a loop matching region (and kind, unless kind is -1).
-func (a *Auto) AccessSym(loop int, regionName string, kind infer.AccessKind) (string, bool) {
+// AccessSym finds the canonical partition symbol of an access in a loop
+// matching region (and kind, unless kind is -1). Access is a map, so
+// among several matches the smallest symbol wins: the choice — and
+// every launch, serialized program and cost derived from it — must not
+// depend on iteration order.
+func (a *Auto) AccessSym(loop int, regionName string, kind infer.AccessKind) (sym string, ok bool) {
 	for _, info := range a.Compiled.Parallel[loop].Access {
-		if info.Region == regionName && (kind < 0 || info.Kind == kind) {
-			return info.Sym, true
+		if info.Region == regionName && (kind < 0 || info.Kind == kind) && (!ok || info.Sym < sym) {
+			sym, ok = info.Sym, true
 		}
 	}
-	return "", false
+	return sym, ok
 }
 
 // Partition looks up an evaluated partition by canonical symbol.

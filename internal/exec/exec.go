@@ -33,9 +33,9 @@
 // same-field write sequence (ghost installs, ship installs, ordered
 // folds) happens in the launch order the sequential executor uses.
 //
-// All data moves as messages through a Transport (in-process queues by
-// default, loopback TCP, or a latency-injecting chaos transport); nodes
-// never share mutable memory. The executor measures the traffic it
+// All data moves as messages through a Transport (one in-process queue
+// per receiver by default, the socket mesh over loopback TCP, or a
+// latency-injecting chaos transport); nodes never share mutable memory. The executor measures the traffic it
 // generates in the same units sim predicts (sim.NodeStats), making
 // prediction error directly testable, and times each launch's compute
 // and communication overlap (NodeTiming).

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -9,33 +10,36 @@ import (
 	"time"
 )
 
-// Mesh is the cross-process data plane: the transport one worker
-// process uses for its single node of a multi-process run. Where
-// tcpTransport holds all n nodes' endpoints inside one process, a Mesh
-// holds exactly one node's slice of the same full-mesh topology — n-1
-// inbound streams accepted on the worker's data listener and n-1
-// outbound streams dialed to the peer addresses the coordinator's
-// topology frame announced. Streams reuse wire.go's data frames behind
-// a preamble of one protocol version byte plus the hello frame naming
-// the sender, so a peer from a different build is refused at stream
-// setup rather than misparsed mid-run.
+// Mesh is the package's one socket stream implementation: one node's
+// slice of the full-mesh data plane — n-1 inbound streams accepted on
+// the node's listener and n-1 outbound streams dialed to its peers. A
+// worker process of a multi-process run holds the single Mesh for its
+// node (the coordinator's topology frame announces the peer addresses);
+// the loopback tcp transport holds all n in one process. Streams carry
+// wire.go's data frames behind a preamble of one protocol version byte
+// plus a hello frame naming the sender, so a peer from a different
+// build is refused at stream setup rather than misparsed mid-run, and
+// every later frame is attributed to the node its stream's hello named
+// — never to what the frame itself claims.
 //
-// Send keeps the executor's never-blocks contract via the same elastic
-// pipe + flush-before-blocking writer the TCP transport uses. Failures
-// latch into Err; Abort hard-closes every stream so a node blocked in a
-// mailbox take fails fast instead of waiting out a dead peer.
+// Send keeps the executor's never-blocks contract by pushing onto an
+// elastic queue per peer, drained by a flush-before-blocking writer.
+// Failures latch into Err; Abort hard-closes every stream so a node
+// blocked in a mailbox take fails fast instead of waiting out a dead
+// peer.
 type Mesh struct {
 	self  int
 	nodes int
-	inbox *inboxQueue
-	// sends[to] feeds the pair's writer goroutine (nil for self).
-	sends []chan message
+	inbox *queue
+	// sends[to] feeds the peer's writer goroutine (nil for self).
+	sends []*queue
 	hook  func(to, step, launch int)
 
 	mu      sync.Mutex
 	err     error
 	ln      net.Listener
 	conns   []net.Conn
+	seen    []bool // senders whose hello an inbound stream has claimed
 	aborted bool
 	wg      sync.WaitGroup // writer + reader + accept goroutines
 }
@@ -84,10 +88,11 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	m := &Mesh{
 		self:  cfg.Self,
 		nodes: cfg.Nodes,
-		inbox: newInboxQueue(cfg.Nodes - 1),
-		sends: make([]chan message, cfg.Nodes),
+		inbox: newInbox(cfg.Nodes - 1),
+		sends: make([]*queue, cfg.Nodes),
 		hook:  cfg.SendHook,
 		ln:    cfg.Listener,
+		seen:  make([]bool, cfg.Nodes),
 	}
 
 	// Accept n-1 inbound streams; each starts a reader that demuxes
@@ -115,7 +120,7 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		cfg.Listener.Close()
 	}()
 
-	// Dial every peer and start its elastic writer.
+	// Dial every peer and start its writer.
 	for to := 0; to < cfg.Nodes; to++ {
 		if to == cfg.Self {
 			continue
@@ -123,15 +128,13 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		conn, err := dialRetry(cfg.Peers[to], budget)
 		if err != nil {
 			m.Abort()
+			m.CloseSend(m.self) // releases the writers already started
 			return nil, fmt.Errorf("exec: mesh: dial node %d (%s): %w", to, cfg.Peers[to], err)
 		}
 		m.track(conn)
-		in := make(chan message)
-		out := make(chan message)
-		go pipe(in, out)
-		m.sends[to] = in
+		m.sends[to] = newQueue(1)
 		m.wg.Add(1)
-		go m.writeLoop(conn, out)
+		go m.writeLoop(conn, m.sends[to])
 	}
 	return m, nil
 }
@@ -233,42 +236,42 @@ func (m *Mesh) Close() error {
 	return nil
 }
 
-// writeLoop drains one outbound pipe onto its socket behind the version
-// byte + hello preamble, flushing before blocking (the peer this stream
-// serves may be the very node our sender blocks on). On completion it
-// half-closes so the peer's reader sees a clean end of stream.
-func (m *Mesh) writeLoop(conn net.Conn, out <-chan message) {
+// Stream violations, wrapped with the details by readLoop.
+var (
+	errStreamHello = errors.New("exec: mesh: bad stream hello")
+	errStreamFrame = errors.New("exec: mesh: illegal frame on stream")
+)
+
+// writeLoop drains one outbound queue onto its socket behind the version
+// byte + hello preamble. It flushes exactly when the queue is empty,
+// before blocking: the peer this stream serves may be the very node our
+// sender blocks on, and bytes stuck here would close that cycle. On
+// completion it half-closes so the peer's reader sees a clean end of
+// stream.
+func (m *Mesh) writeLoop(conn net.Conn, out *queue) {
 	defer m.wg.Done()
 	w := bufio.NewWriter(conn)
-	var err error
-	if wErr := w.WriteByte(WireProtoVersion); wErr != nil {
-		err = wErr
-	}
+	err := w.WriteByte(WireProtoVersion)
 	if err == nil {
-		hello := message{kind: helloMsg, from: m.self}
-		err = writeFrame(w, &hello)
+		err = writeFrame(w, &message{kind: helloMsg, from: m.self})
 	}
 	for {
-		var msg message
-		var ok bool
-		select {
-		case msg, ok = <-out:
-		default:
-			if err == nil {
-				err = w.Flush()
+		batch, open := out.take()
+		for i := range batch {
+			if err == nil { // after an error, keep draining so memory is released
+				err = writeFrame(w, &batch[i])
 			}
-			msg, ok = <-out
 		}
-		if !ok {
+		if len(batch) > 0 {
+			continue
+		}
+		if err == nil {
+			err = w.Flush()
+		}
+		if !open {
 			break
 		}
-		if err != nil {
-			continue // drain on error so pipe() can exit
-		}
-		err = writeFrame(w, &msg)
-	}
-	if err == nil {
-		err = w.Flush()
+		out.wait()
 	}
 	if err != nil {
 		m.fail(fmt.Errorf("exec: mesh: send from node %d: %w", m.self, err))
@@ -280,9 +283,28 @@ func (m *Mesh) writeLoop(conn net.Conn, out <-chan message) {
 	}
 }
 
+// claim records that an inbound stream's hello named sender from,
+// refusing ids no peer of this node can have: out of range, this node
+// itself, or one another stream already claimed.
+func (m *Mesh) claim(from int) error {
+	if from < 0 || from >= m.nodes || from == m.self {
+		return fmt.Errorf("%w: node %d: sender id %d is not one of this node's %d peers", errStreamHello, m.self, from, m.nodes-1)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.seen[from] {
+		return fmt.Errorf("%w: node %d: a second stream claims to be node %d", errStreamHello, m.self, from)
+	}
+	m.seen[from] = true
+	return nil
+}
+
 // readLoop verifies one inbound stream's preamble, then decodes frames
-// into the inbox until EOF. A stream that dies before its hello frame
-// reports an anonymous EOF (from = -1).
+// into the inbox until EOF. Only the three coherence-protocol kinds may
+// follow the preamble, and each is stamped with the sender the hello
+// established, so a stream can neither speak for another node nor
+// inject the transport's own sentinels. A stream that dies before a
+// valid hello reports an anonymous EOF (from = -1).
 func (m *Mesh) readLoop(conn net.Conn) {
 	defer m.wg.Done()
 	from := -1
@@ -300,7 +322,11 @@ func (m *Mesh) readLoop(conn net.Conn) {
 	}
 	hello, err := readFrame(r)
 	if err != nil || hello.kind != helloMsg {
-		m.fail(fmt.Errorf("exec: mesh: node %d: bad stream preamble (err=%v, kind=%v)", m.self, err, hello.kind))
+		m.fail(fmt.Errorf("%w: node %d: (err=%v, kind=%v)", errStreamHello, m.self, err, hello.kind))
+		return
+	}
+	if err := m.claim(hello.from); err != nil {
+		m.fail(err)
 		return
 	}
 	from = hello.from
@@ -312,6 +338,11 @@ func (m *Mesh) readLoop(conn net.Conn) {
 			}
 			return
 		}
+		if k := msg.kind; k != ghostMsg && k != shipMsg && k != mergeMsg {
+			m.fail(fmt.Errorf("%w: node %d: %s frame from node %d after the preamble", errStreamFrame, m.self, msg.kind, from))
+			return
+		}
+		msg.from = from
 		m.inbox.push(msg)
 	}
 }
@@ -322,7 +353,7 @@ func (m *Mesh) Send(from, to int, msg message) {
 		m.hook(to, msg.step, msg.launch)
 	}
 	msg.from = from
-	m.sends[to] <- msg
+	m.sends[to].push(msg)
 }
 
 // Inbox implements Transport; only the mesh's own node has one.
@@ -333,13 +364,91 @@ func (m *Mesh) Inbox(to int) <-chan message {
 	return m.inbox.out
 }
 
-// CloseSend closes the outbound pipes; writers drain, flush, and
+// CloseSend marks the outbound queues done; writers drain, flush, and
 // half-close their sockets.
 func (m *Mesh) CloseSend(from int) {
-	for to, ch := range m.sends {
-		if ch != nil {
-			close(ch)
-			m.sends[to] = nil
+	for _, q := range m.sends {
+		if q != nil {
+			q.done()
 		}
 	}
+}
+
+// tcpTransport runs the coherence protocol over real sockets on
+// loopback: all n nodes' meshes in one process, each on its own
+// listener, so every message crosses wire framing and a kernel socket
+// exactly as it does between worker processes. It only routes each
+// call to the mesh of the node it concerns.
+type tcpTransport struct {
+	meshes []*Mesh
+}
+
+// TCPTransport returns the factory for the loopback TCP transport.
+// Note the connection count is quadratic in nodes: fine for the
+// correctness matrix and modest runs, not for 256-node sweeps (use
+// inproc there; the wire cost model is identical).
+func TCPTransport() TransportFactory {
+	return func(nodes int) (Transport, error) {
+		t := &tcpTransport{}
+		listeners := make([]net.Listener, nodes)
+		peers := make([]string, nodes)
+		// fail releases whatever was set up. A mesh also closes the
+		// listener it was given; closing one twice is harmless.
+		fail := func(err error) (Transport, error) {
+			for _, ln := range listeners {
+				if ln != nil {
+					ln.Close()
+				}
+			}
+			for _, m := range t.meshes {
+				m.Abort()
+				m.CloseSend(m.self)
+			}
+			t.Close()
+			return nil, err
+		}
+		for j := range listeners {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				return fail(fmt.Errorf("exec: tcp: listen: %w", err))
+			}
+			listeners[j], peers[j] = ln, ln.Addr().String()
+		}
+		// Every listener is already bound, so each mesh's dials complete
+		// against the kernel's accept backlog even though the peer's mesh
+		// (and its accept loop) is built later in this loop.
+		for j := range listeners {
+			m, err := NewMesh(MeshConfig{Self: j, Nodes: nodes, Listener: listeners[j], Peers: peers})
+			if err != nil {
+				return fail(err)
+			}
+			t.meshes = append(t.meshes, m)
+		}
+		return t, nil
+	}
+}
+
+func (t *tcpTransport) Send(from, to int, msg message) { t.meshes[from].Send(from, to, msg) }
+
+func (t *tcpTransport) Inbox(to int) <-chan message { return t.meshes[to].Inbox(to) }
+
+func (t *tcpTransport) CloseSend(from int) { t.meshes[from].CloseSend(from) }
+
+// Err reports the first stream or decode failure on any node's mesh.
+func (t *tcpTransport) Err() error {
+	for _, m := range t.meshes {
+		if err := m.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close waits for every mesh's stream goroutines, then releases its
+// sockets. Run calls it after all inboxes have drained.
+func (t *tcpTransport) Close() error {
+	for _, m := range t.meshes {
+		m.Close()
+	}
+	return nil
 }

@@ -20,13 +20,14 @@ const (
 	// mergeMsg moves a reduction buffer's remote-owned contributions to
 	// their owners for the ordered fold.
 	mergeMsg
-	// helloMsg is the TCP transport's stream preamble: the first frame
+	// helloMsg is a socket stream's preamble (mesh.go): the first frame
 	// on each connection, identifying the sender. Never delivered to a
-	// node.
+	// node, and refused anywhere but first.
 	helloMsg
 	// eofMsg is a transport-internal sentinel marking one sender's end
 	// of stream, so receivers can fail takes from a dead peer instead
-	// of deadlocking. Never crosses the wire.
+	// of deadlocking. Never crosses the wire: a stream reader refuses
+	// it, so only the local transport can declare a peer finished.
 	eofMsg
 )
 
@@ -53,7 +54,7 @@ func (k msgKind) String() string {
 // errors instead of silent data corruption.
 type message struct {
 	kind          msgKind
-	from          int // sender color, stamped by the transport layer
+	from          int // sender color, stamped by the transport (a stream reader stamps its hello's)
 	step, launch  int
 	req           int
 	region, field string

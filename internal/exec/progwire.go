@@ -1,10 +1,10 @@
 package exec
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
+	"errors"
+	"slices"
 	"sort"
+	"strings"
 
 	"autopart/internal/geometry"
 	"autopart/internal/infer"
@@ -17,12 +17,12 @@ import (
 )
 
 // Program wire format: the serialized form of an executable Program that
-// the coordinator ships to every worker process during bootstrap. It
-// reuses wire.go's primitives (little-endian, length-prefixed counts,
-// bounds-checked reads) and its safety contract: DecodeProgram never
-// panics on corrupt input, never allocates more than the input's own
-// size allows, rejects trailing bytes, and rejects any version byte it
-// does not speak.
+// the coordinator ships to every worker process during bootstrap. It is
+// built from wire.go's codec (little-endian, length-prefixed counts,
+// bounds-checked reads) and inherits its safety contract: DecodeProgram
+// never panics on corrupt input, never allocates more than the input's
+// own size allows, rejects trailing bytes, and rejects any version byte
+// it does not speak.
 //
 // Layout (one blob, no outer frame — the control plane frames it):
 //
@@ -46,73 +46,79 @@ import (
 // re-associated after the statement tree is rebuilt.
 const progWireVersion = 1
 
-// maxProgDepth bounds statement and scalar-expression nesting during
-// decode: real programs are a handful of levels deep, and the limit
-// keeps fuzzed inputs from overflowing the decoder's stack.
-const maxProgDepth = 200
-
-// ErrProgWireVersion is wrapped by decode errors caused by a version
+// errProgWireVersion is wrapped by decode errors caused by a version
 // byte mismatch, so callers can distinguish "foreign version" from
 // "corrupt blob".
-var errProgWireVersion = fmt.Errorf("exec: progwire: version mismatch")
+var errProgWireVersion = errors.New("exec: progwire: version mismatch")
 
-func appendStr(buf []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint16 {
-		return nil, fmt.Errorf("exec: progwire: string of %d bytes too long", len(s))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...), nil
-}
-
-func (r *wireReader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func appendSet(buf []byte, set geometry.IndexSet) []byte {
-	ivs := set.Intervals()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ivs)))
-	for _, iv := range ivs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(iv.Lo))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(iv.Hi))
-	}
-	return buf
-}
-
-func (r *wireReader) set() (geometry.IndexSet, error) {
-	n, err := r.count(16)
-	if err != nil {
-		return geometry.IndexSet{}, err
-	}
-	ivs := make([]geometry.Interval, n)
-	for i := range ivs {
-		lo, err := r.u64()
-		if err != nil {
-			return geometry.IndexSet{}, err
+// keyed walks a map in canonical order: a count, then elem once per
+// entry. Encoding visits the keys ascending under cmp, so the same map
+// always produces the same bytes; decoding inserts each entry under the
+// key elem filled in and refuses a repeated key.
+func keyed[K comparable, V any](c *codec, m map[K]V, what string, cmp func(a, b K) int, elem func(*K, *V)) {
+	var keys []K
+	if !c.dec {
+		for k := range m {
+			keys = append(keys, k)
 		}
-		hi, err := r.u64()
-		if err != nil {
-			return geometry.IndexSet{}, err
-		}
-		ivs[i] = geometry.Interval{Lo: int64(lo), Hi: int64(hi)}
+		slices.SortFunc(keys, cmp)
 	}
-	return geometry.FromIntervals(ivs...), nil
+	n := len(keys)
+	c.list(&n, 1, func(i int) {
+		var k K
+		var v V
+		if !c.dec {
+			k, v = keys[i], m[keys[i]]
+		}
+		if elem(&k, &v); !c.dec || c.err != nil {
+			return
+		}
+		if _, dup := m[k]; dup {
+			c.failf("duplicate %s %v", what, k)
+			return
+		}
+		m[k] = v
+	})
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func cmpFieldKey(a, b sim.FieldKey) int {
+	if d := strings.Compare(a.Region, b.Region); d != 0 {
+		return d
 	}
-	sort.Strings(keys)
-	return keys
+	return strings.Compare(a.Field, b.Field)
+}
+
+// program is the whole-blob layout. Decoding fills a prog whose maps
+// the caller has made.
+func (c *codec) program(prog *Program) {
+	c.version(progWireVersion, progWireVersion, errProgWireVersion)
+	m := prog.Machine
+	keyed(c, m.Regions, "region", strings.Compare, func(name *string, r **region.Region) {
+		if c.region(r); c.dec && c.err == nil {
+			*name = (*r).Name()
+		}
+	})
+	keyed(c, m.Funcs, "index function", strings.Compare, func(name *string, f *geometry.IndexMap) {
+		c.str(name)
+		c.indexMap(*name, f)
+	})
+	keyed(c, m.Partitions, "extern partition", strings.Compare, func(name *string, p **region.Partition) {
+		if c.partition(p, m); c.dec && c.err == nil {
+			*name = (*p).Name()
+		}
+	})
+	keyed(c, prog.Parts, "partition symbol", strings.Compare, func(sym *string, p **region.Partition) {
+		c.str(sym)
+		c.partition(p, m)
+	})
+	keyed(c, prog.Owners.Owners, "owner for", cmpFieldKey, func(fk *sim.FieldKey, p **region.Partition) {
+		c.strs(&fk.Region, &fk.Field)
+		c.partition(p, m)
+	})
+	seq(c, &prog.Plan.Tasks, 1, func(t *runtime.Task) {
+		c.launch(&t.Launch)
+		c.parallelLoop(&t.Loop)
+	})
 }
 
 // EncodeProgram serializes prog for distribution to worker processes.
@@ -120,299 +126,89 @@ func sortedKeys[V any](m map[string]V) []string {
 // so the same program always produces the same bytes.
 func EncodeProgram(prog *Program) ([]byte, error) {
 	if prog == nil || prog.Machine == nil || prog.Plan == nil || prog.Owners == nil {
-		return nil, fmt.Errorf("exec: progwire: incomplete program")
+		return nil, errors.New("exec: progwire: incomplete program")
 	}
-	buf := []byte{progWireVersion}
-	var err error
-	if buf, err = appendRegions(buf, prog.Machine); err != nil {
-		return nil, err
-	}
-	if buf, err = appendFuncs(buf, prog.Machine); err != nil {
-		return nil, err
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(prog.Machine.Partitions)))
-	for _, name := range sortedKeys(prog.Machine.Partitions) {
-		if buf, err = appendPartition(buf, prog.Machine.Partitions[name]); err != nil {
-			return nil, err
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(prog.Parts)))
-	for _, sym := range sortedKeys(prog.Parts) {
-		if buf, err = appendStr(buf, sym); err != nil {
-			return nil, err
-		}
-		if buf, err = appendPartition(buf, prog.Parts[sym]); err != nil {
-			return nil, err
-		}
-	}
-	fks := make([]sim.FieldKey, 0, len(prog.Owners.Owners))
-	for fk := range prog.Owners.Owners {
-		fks = append(fks, fk)
-	}
-	sort.Slice(fks, func(i, j int) bool {
-		if fks[i].Region != fks[j].Region {
-			return fks[i].Region < fks[j].Region
-		}
-		return fks[i].Field < fks[j].Field
-	})
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fks)))
-	for _, fk := range fks {
-		if buf, err = appendStr(buf, fk.Region); err != nil {
-			return nil, err
-		}
-		if buf, err = appendStr(buf, fk.Field); err != nil {
-			return nil, err
-		}
-		if buf, err = appendPartition(buf, prog.Owners.Owners[fk]); err != nil {
-			return nil, err
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(prog.Plan.Tasks)))
-	for _, t := range prog.Plan.Tasks {
-		if buf, err = appendLaunch(buf, t.Launch); err != nil {
-			return nil, err
-		}
-		if buf, err = appendParallelLoop(buf, t.Loop); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	var c codec
+	c.program(prog)
+	return c.encoded()
 }
 
 // DecodeProgram rebuilds a Program from EncodeProgram's output. The
 // result shares nothing with the encoder's program: regions, partitions,
 // and the plan are freshly built, ready for a worker's RunNode.
 func DecodeProgram(data []byte) (*Program, error) {
-	r := &wireReader{data: data}
-	v, err := r.u8()
-	if err != nil {
+	prog := &Program{Machine: ir.NewMachine(), Plan: &runtime.Plan{}, Parts: map[string]*region.Partition{}, Owners: sim.NewState()}
+	c := codec{dec: true, buf: data}
+	c.program(prog)
+	if err := c.done("program"); err != nil {
 		return nil, err
-	}
-	if v != progWireVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", errProgWireVersion, v, progWireVersion)
-	}
-	m := ir.NewMachine()
-	if err := readRegions(r, m); err != nil {
-		return nil, err
-	}
-	if err := readFuncs(r, m); err != nil {
-		return nil, err
-	}
-	nparts, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nparts; i++ {
-		p, err := readPartition(r, m)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := m.Partitions[p.Name()]; dup {
-			return nil, fmt.Errorf("exec: progwire: duplicate extern partition %q", p.Name())
-		}
-		m.Partitions[p.Name()] = p
-	}
-	prog := &Program{Machine: m, Plan: &runtime.Plan{}, Parts: map[string]*region.Partition{}, Owners: sim.NewState()}
-	nsyms, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nsyms; i++ {
-		sym, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		p, err := readPartition(r, m)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := prog.Parts[sym]; dup {
-			return nil, fmt.Errorf("exec: progwire: duplicate partition symbol %q", sym)
-		}
-		prog.Parts[sym] = p
-	}
-	nowners, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nowners; i++ {
-		regionName, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		field, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		p, err := readPartition(r, m)
-		if err != nil {
-			return nil, err
-		}
-		fk := sim.FieldKey{Region: regionName, Field: field}
-		if _, dup := prog.Owners.Owners[fk]; dup {
-			return nil, fmt.Errorf("exec: progwire: duplicate owner for %s.%s", regionName, field)
-		}
-		prog.Owners.Owners[fk] = p
-	}
-	ntasks, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < ntasks; i++ {
-		launch, err := readLaunch(r)
-		if err != nil {
-			return nil, err
-		}
-		loop, err := readParallelLoop(r)
-		if err != nil {
-			return nil, err
-		}
-		prog.Plan.Tasks = append(prog.Plan.Tasks, runtime.Task{Launch: launch, Loop: loop})
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("exec: progwire: %d trailing bytes after program", r.remaining())
 	}
 	return prog, nil
 }
 
-func appendRegions(buf []byte, m *ir.Machine) ([]byte, error) {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Regions)))
-	var err error
-	for _, name := range sortedKeys(m.Regions) {
-		reg := m.Regions[name]
-		if buf, err = appendStr(buf, reg.Name()); err != nil {
-			return nil, err
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(reg.Size()))
-		var scalars, indexes, ranges []string
+// region is a name, a size, and the fields grouped by kind (scalar,
+// index, range), each group sorted by field name and each field exactly
+// size elements long — no per-field count, so the alloc guard is the
+// region size itself checked against the remaining input.
+func (c *codec) region(rp **region.Region) {
+	var name string
+	var size int64
+	var fields [region.RangeField + 1][]string
+	if !c.dec {
+		reg := *rp
+		name, size = reg.Name(), reg.Size()
 		for _, f := range reg.FieldNames() {
-			switch kind, _ := reg.FieldKindOf(f); kind {
-			case region.ScalarField:
-				scalars = append(scalars, f)
-			case region.IndexField:
-				indexes = append(indexes, f)
-			case region.RangeField:
-				ranges = append(ranges, f)
-			}
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(scalars)))
-		for _, f := range scalars {
-			if buf, err = appendStr(buf, f); err != nil {
-				return nil, err
-			}
-			for _, v := range reg.Scalar(f) {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(indexes)))
-		for _, f := range indexes {
-			if buf, err = appendStr(buf, f); err != nil {
-				return nil, err
-			}
-			for _, v := range reg.Index(f) {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ranges)))
-		for _, f := range ranges {
-			if buf, err = appendStr(buf, f); err != nil {
-				return nil, err
-			}
-			for _, iv := range reg.Ranges(f) {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(iv.Lo))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(iv.Hi))
-			}
+			kind, _ := reg.FieldKindOf(f)
+			fields[kind] = append(fields[kind], f)
 		}
 	}
-	return buf, nil
-}
-
-func readRegions(r *wireReader, m *ir.Machine) error {
-	nregions, err := r.count(1)
-	if err != nil {
-		return err
+	c.str(&name)
+	c.i64(&size)
+	if c.dec {
+		if c.err == nil && size < 0 {
+			c.failf("region %q has negative size", name)
+		}
+		if c.err != nil {
+			return
+		}
+		*rp = region.New(name, size)
 	}
-	for i := 0; i < nregions; i++ {
-		name, err := r.str()
-		if err != nil {
-			return err
+	reg := *rp
+	for kind := region.ScalarField; kind <= region.RangeField; kind++ {
+		elemSize := 8
+		if kind == region.RangeField {
+			elemSize = 16
 		}
-		if _, dup := m.Regions[name]; dup {
-			return fmt.Errorf("exec: progwire: duplicate region %q", name)
-		}
-		rawSize, err := r.u64()
-		if err != nil {
-			return err
-		}
-		size := int64(rawSize)
-		if size < 0 {
-			return fmt.Errorf("exec: progwire: region %q has negative size", name)
-		}
-		reg := region.New(name, size)
-		// Each field kind reads: field count, then per field a name and
-		// exactly size elements. The per-element count guard is the
-		// region size itself, checked against the remaining frame.
-		for kind := region.ScalarField; kind <= region.RangeField; kind++ {
-			elem := 8
-			if kind == region.RangeField {
-				elem = 16
-			}
-			nfields, err := r.count(1)
-			if err != nil {
-				return err
-			}
-			for j := 0; j < nfields; j++ {
-				f, err := r.str()
-				if err != nil {
-					return err
+		seq(c, &fields[kind], 1, func(f *string) {
+			if c.str(f); c.dec {
+				if c.err == nil && (*f == "" || reg.HasField(*f)) {
+					c.failf("region %q: bad or duplicate field %q", name, *f)
 				}
-				if f == "" || reg.HasField(f) {
-					return fmt.Errorf("exec: progwire: region %q: bad or duplicate field %q", name, f)
+				if c.err == nil && size > int64(c.remaining()/elemSize) {
+					c.failf("region %q field %q: %d elements exceed frame remainder %d", name, *f, size, c.remaining())
 				}
-				if size > int64(r.remaining()/elem) {
-					return fmt.Errorf("exec: progwire: region %q field %q: %d elements exceed frame remainder %d", name, f, size, r.remaining())
+				if c.err != nil {
+					return
 				}
 				switch kind {
 				case region.ScalarField:
-					reg.AddScalarField(f)
-					data := reg.Scalar(f)
-					for k := range data {
-						v, err := r.u64()
-						if err != nil {
-							return err
-						}
-						data[k] = math.Float64frombits(v)
-					}
+					reg.AddScalarField(*f)
 				case region.IndexField:
-					reg.AddIndexField(f)
-					data := reg.Index(f)
-					for k := range data {
-						v, err := r.u64()
-						if err != nil {
-							return err
-						}
-						data[k] = int64(v)
-					}
+					reg.AddIndexField(*f)
 				case region.RangeField:
-					reg.AddRangeField(f)
-					data := reg.Ranges(f)
-					for k := range data {
-						lo, err := r.u64()
-						if err != nil {
-							return err
-						}
-						hi, err := r.u64()
-						if err != nil {
-							return err
-						}
-						data[k] = geometry.Interval{Lo: int64(lo), Hi: int64(hi)}
-					}
+					reg.AddRangeField(*f)
 				}
 			}
-		}
-		m.AddRegion(reg)
+			switch kind {
+			case region.ScalarField:
+				c.f64vals(reg.Scalar(*f))
+			case region.IndexField:
+				c.i64vals(reg.Index(*f))
+			case region.RangeField:
+				c.ivvals(reg.Ranges(*f))
+			}
+		})
 	}
-	return nil
 }
 
 // Index function kinds on the wire.
@@ -422,271 +218,109 @@ const (
 	funcTable
 )
 
-func appendFuncs(buf []byte, m *ir.Machine) ([]byte, error) {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Funcs)))
-	var err error
-	for _, name := range sortedKeys(m.Funcs) {
-		if buf, err = appendStr(buf, name); err != nil {
-			return nil, err
-		}
-		switch f := m.Funcs[name].(type) {
+// indexMap is a kind byte plus the kind's parameters. Index maps are
+// values, so each case edits a copy and a decode stores it back.
+func (c *codec) indexMap(name string, f *geometry.IndexMap) {
+	var kind byte
+	if !c.dec {
+		switch (*f).(type) {
 		case geometry.IdentityMap:
-			buf = append(buf, funcIdentity)
+			kind = funcIdentity
 		case geometry.AffineMap:
-			buf = append(buf, funcAffine)
-			if buf, err = appendStr(buf, f.Name); err != nil {
-				return nil, err
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Stride))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Offset))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Modulo))
-			if f.Clamp != nil {
-				buf = append(buf, 1)
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Clamp.Lo))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Clamp.Hi))
-			} else {
-				buf = append(buf, 0)
-			}
+			kind = funcAffine
 		case geometry.TableMap:
-			buf = append(buf, funcTable)
-			if buf, err = appendStr(buf, f.Name); err != nil {
-				return nil, err
-			}
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Table)))
-			for _, v := range f.Table {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
+			kind = funcTable
 		default:
-			return nil, fmt.Errorf("exec: progwire: index function %q has unserializable type %T", name, m.Funcs[name])
+			c.failf("index function %q has unserializable type %T", name, *f)
+			return
 		}
 	}
-	return buf, nil
+	c.u8(&kind)
+	var out geometry.IndexMap
+	switch kind {
+	case funcIdentity:
+		out = geometry.IdentityMap{}
+	case funcAffine:
+		x, _ := (*f).(geometry.AffineMap)
+		c.str(&x.Name)
+		c.i64(&x.Stride)
+		c.i64(&x.Offset)
+		c.i64(&x.Modulo)
+		clamped := x.Clamp != nil
+		if c.flag(&clamped); clamped {
+			if c.dec {
+				x.Clamp = &geometry.Interval{}
+			}
+			c.iv(x.Clamp)
+		}
+		out = x
+	case funcTable:
+		x, _ := (*f).(geometry.TableMap)
+		c.str(&x.Name)
+		c.i64s(&x.Table)
+		out = x
+	default:
+		c.failf("unknown index function kind %d", kind)
+	}
+	if c.dec {
+		*f = out
+	}
 }
 
-func readFuncs(r *wireReader, m *ir.Machine) error {
-	nfuncs, err := r.count(1)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < nfuncs; i++ {
-		name, err := r.str()
-		if err != nil {
-			return err
+// partition is a name, the parent region's name, and the subregion
+// sets. Decoding re-parents it onto m's region of the recorded name,
+// rejecting (rather than panicking on) subregions that escape the
+// parent's index space.
+func (c *codec) partition(pp **region.Partition, m *ir.Machine) {
+	var name, parentName string
+	var subs []geometry.IndexSet
+	if !c.dec {
+		p := *pp
+		if p == nil || p.Parent() == nil {
+			c.failf("partition without a parent region")
+			return
 		}
-		if _, dup := m.Funcs[name]; dup {
-			return fmt.Errorf("exec: progwire: duplicate index function %q", name)
-		}
-		kind, err := r.u8()
-		if err != nil {
-			return err
-		}
-		switch kind {
-		case funcIdentity:
-			m.Funcs[name] = geometry.IdentityMap{}
-		case funcAffine:
-			f := geometry.AffineMap{}
-			if f.Name, err = r.str(); err != nil {
-				return err
-			}
-			fields := [3]*int64{&f.Stride, &f.Offset, &f.Modulo}
-			for _, dst := range fields {
-				v, err := r.u64()
-				if err != nil {
-					return err
-				}
-				*dst = int64(v)
-			}
-			hasClamp, err := r.u8()
-			if err != nil {
-				return err
-			}
-			if hasClamp != 0 {
-				lo, err := r.u64()
-				if err != nil {
-					return err
-				}
-				hi, err := r.u64()
-				if err != nil {
-					return err
-				}
-				f.Clamp = &geometry.Interval{Lo: int64(lo), Hi: int64(hi)}
-			}
-			m.Funcs[name] = f
-		case funcTable:
-			f := geometry.TableMap{}
-			if f.Name, err = r.str(); err != nil {
-				return err
-			}
-			n, err := r.count(8)
-			if err != nil {
-				return err
-			}
-			f.Table = make([]int64, n)
-			for k := range f.Table {
-				v, err := r.u64()
-				if err != nil {
-					return err
-				}
-				f.Table[k] = int64(v)
-			}
-			m.Funcs[name] = f
-		default:
-			return fmt.Errorf("exec: progwire: unknown index function kind %d", kind)
-		}
+		name, parentName, subs = p.Name(), p.Parent().Name(), p.Subs()
 	}
-	return nil
-}
-
-func appendPartition(buf []byte, p *region.Partition) ([]byte, error) {
-	if p == nil || p.Parent() == nil {
-		return nil, fmt.Errorf("exec: progwire: partition without a parent region")
-	}
-	buf, err := appendStr(buf, p.Name())
-	if err != nil {
-		return nil, err
-	}
-	if buf, err = appendStr(buf, p.Parent().Name()); err != nil {
-		return nil, err
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.NumSubs()))
-	for _, s := range p.Subs() {
-		buf = appendSet(buf, s)
-	}
-	return buf, nil
-}
-
-// readPartition decodes a partition and re-parents it onto m's region of
-// the recorded name, rejecting (rather than panicking on) subregions
-// that escape the parent's index space.
-func readPartition(r *wireReader, m *ir.Machine) (*region.Partition, error) {
-	name, err := r.str()
-	if err != nil {
-		return nil, err
-	}
-	parentName, err := r.str()
-	if err != nil {
-		return nil, err
+	c.strs(&name, &parentName)
+	seq(c, &subs, 4, c.set)
+	if !c.dec || c.err != nil {
+		return
 	}
 	parent := m.Regions[parentName]
 	if parent == nil {
-		return nil, fmt.Errorf("exec: progwire: partition %q references unknown region %q", name, parentName)
-	}
-	nsubs, err := r.count(4)
-	if err != nil {
-		return nil, err
+		c.failf("partition %q references unknown region %q", name, parentName)
+		return
 	}
 	space := parent.Space()
-	subs := make([]geometry.IndexSet, nsubs)
-	for i := range subs {
-		s, err := r.set()
-		if err != nil {
-			return nil, err
-		}
+	for i, s := range subs {
 		if !s.SubsetOf(space) {
-			return nil, fmt.Errorf("exec: progwire: partition %q: subregion %d escapes region %q", name, i, parentName)
+			c.failf("partition %q: subregion %d escapes region %q", name, i, parentName)
+			return
 		}
-		subs[i] = s
 	}
-	return region.NewPartition(name, parent, subs), nil
+	*pp = region.NewPartition(name, parent, subs)
 }
 
-func appendLaunch(buf []byte, l *runtime.Launch) ([]byte, error) {
-	if l == nil {
-		return nil, fmt.Errorf("exec: progwire: task without a launch")
+// launch travels fully serialized (not re-derived from the loop): apps
+// adjust launches after planning, and those edits must reach workers.
+func (c *codec) launch(lp **runtime.Launch) {
+	if c.dec {
+		*lp = &runtime.Launch{}
+	} else if *lp == nil {
+		c.failf("task without a launch")
+		return
 	}
-	var err error
-	for _, s := range []string{l.Name, l.IterSym, l.WorkSym} {
-		if buf, err = appendStr(buf, s); err != nil {
-			return nil, err
-		}
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.WorkPerElement))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.Reqs)))
-	for _, req := range l.Reqs {
-		if buf, err = appendStr(buf, req.Region); err != nil {
-			return nil, err
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Fields)))
-		for _, f := range req.Fields {
-			if buf, err = appendStr(buf, f); err != nil {
-				return nil, err
-			}
-		}
-		buf = append(buf, byte(req.Priv))
-		for _, s := range []string{req.Sym, req.ReduceOp, req.PrivateSym, req.TouchedSym} {
-			if buf, err = appendStr(buf, s); err != nil {
-				return nil, err
-			}
-		}
-		buf = append(buf, boolByte(req.Guarded))
-	}
-	return buf, nil
-}
-
-func readLaunch(r *wireReader) (*runtime.Launch, error) {
-	l := &runtime.Launch{}
-	for _, dst := range []*string{&l.Name, &l.IterSym, &l.WorkSym} {
-		s, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		*dst = s
-	}
-	bits, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	l.WorkPerElement = math.Float64frombits(bits)
-	nreqs, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nreqs; i++ {
-		var req runtime.Requirement
-		if req.Region, err = r.str(); err != nil {
-			return nil, err
-		}
-		nfields, err := r.count(2)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nfields; j++ {
-			f, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			req.Fields = append(req.Fields, f)
-		}
-		priv, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if priv > byte(runtime.Reduce) {
-			return nil, fmt.Errorf("exec: progwire: launch %s: unknown privilege %d", l.Name, priv)
-		}
-		req.Priv = runtime.Privilege(priv)
-		for _, dst := range []*string{&req.Sym, &req.ReduceOp, &req.PrivateSym, &req.TouchedSym} {
-			s, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			*dst = s
-		}
-		guarded, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		req.Guarded = guarded != 0
-		l.Reqs = append(l.Reqs, req)
-	}
-	return l, nil
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
+	l := *lp
+	c.strs(&l.Name, &l.IterSym, &l.WorkSym)
+	c.f64(&l.WorkPerElement)
+	seq(c, &l.Reqs, 1, func(req *runtime.Requirement) {
+		c.str(&req.Region)
+		seq(c, &req.Fields, 2, c.str)
+		enum(c, &req.Priv, runtime.Reduce, "privilege")
+		c.strs(&req.Sym, &req.ReduceOp, &req.PrivateSym, &req.TouchedSym)
+		c.flag(&req.Guarded)
+	})
 }
 
 // walkStmts visits the statement tree in pre-order, the traversal both
@@ -707,132 +341,67 @@ func walkStmts(stmts []ir.Stmt, fn func(ir.Stmt)) {
 	}
 }
 
-func appendParallelLoop(buf []byte, pl *rewrite.ParallelLoop) ([]byte, error) {
-	if pl == nil || pl.Loop == nil {
-		return nil, fmt.Errorf("exec: progwire: task without a loop")
-	}
-	var err error
-	if buf, err = appendStr(buf, pl.IterSym); err != nil {
-		return nil, err
-	}
-	buf = append(buf, boolByte(pl.Relaxed))
-	if buf, err = appendStr(buf, pl.Loop.Var); err != nil {
-		return nil, err
-	}
-	if buf, err = appendStr(buf, pl.Loop.Region); err != nil {
-		return nil, err
-	}
-	if buf, err = appendStmts(buf, pl.Loop.Stmts); err != nil {
-		return nil, err
-	}
-	// Access entries, keyed by the statement's pre-order index and
-	// written in index order for determinism.
-	index := map[ir.Stmt]int{}
-	walkStmts(pl.Loop.Stmts, func(s ir.Stmt) { index[s] = len(index) })
-	type entry struct {
-		idx  int
-		info *rewrite.AccessInfo
-	}
-	entries := make([]entry, 0, len(pl.Access))
-	for s, info := range pl.Access {
-		idx, ok := index[s]
-		if !ok {
-			return nil, fmt.Errorf("exec: progwire: access entry for statement outside the loop body (%s)", s)
-		}
-		entries = append(entries, entry{idx, info})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].idx < entries[j].idx })
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.idx))
-		info := e.info
-		for _, s := range []string{info.Sym, string(info.Op), info.Region, info.Field, info.PrivateSym} {
-			if buf, err = appendStr(buf, s); err != nil {
-				return nil, err
-			}
-		}
-		buf = append(buf, byte(info.Kind))
-		var flags byte
-		if info.Centered {
-			flags |= 1
-		}
-		if info.Guarded {
-			flags |= 2
-		}
-		if info.Buffered {
-			flags |= 4
-		}
-		buf = append(buf, flags)
-	}
-	return buf, nil
+// accessEntry is one Access-map entry as it travels: keyed by the
+// statement's pre-order index instead of its pointer.
+type accessEntry struct {
+	idx  int
+	info *rewrite.AccessInfo
 }
 
-func readParallelLoop(r *wireReader) (*rewrite.ParallelLoop, error) {
-	pl := &rewrite.ParallelLoop{Loop: &ir.Loop{}, Access: map[ir.Stmt]*rewrite.AccessInfo{}}
-	var err error
-	if pl.IterSym, err = r.str(); err != nil {
-		return nil, err
+func (c *codec) parallelLoop(plp **rewrite.ParallelLoop) {
+	if c.dec {
+		*plp = &rewrite.ParallelLoop{Loop: &ir.Loop{}, Access: map[ir.Stmt]*rewrite.AccessInfo{}}
+	} else if *plp == nil || (*plp).Loop == nil {
+		c.failf("task without a loop")
+		return
 	}
-	relaxed, err := r.u8()
-	if err != nil {
-		return nil, err
+	pl := *plp
+	c.str(&pl.IterSym)
+	c.flag(&pl.Relaxed)
+	c.strs(&pl.Loop.Var, &pl.Loop.Region)
+	c.stmts(&pl.Loop.Stmts)
+	if c.err != nil {
+		return
 	}
-	pl.Relaxed = relaxed != 0
-	if pl.Loop.Var, err = r.str(); err != nil {
-		return nil, err
-	}
-	if pl.Loop.Region, err = r.str(); err != nil {
-		return nil, err
-	}
-	if pl.Loop.Stmts, err = readStmts(r, 0); err != nil {
-		return nil, err
-	}
+
 	var order []ir.Stmt
 	walkStmts(pl.Loop.Stmts, func(s ir.Stmt) { order = append(order, s) })
-	naccess, err := r.count(4)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < naccess; i++ {
-		idx, err := r.u32()
-		if err != nil {
-			return nil, err
+	// Encoding writes the entries in index order for determinism.
+	var entries []accessEntry
+	if !c.dec {
+		index := make(map[ir.Stmt]int, len(order))
+		for i, s := range order {
+			index[s] = i
 		}
-		if int(idx) >= len(order) {
-			return nil, fmt.Errorf("exec: progwire: access entry for statement %d of %d", idx, len(order))
-		}
-		st := order[idx]
-		if _, dup := pl.Access[st]; dup {
-			return nil, fmt.Errorf("exec: progwire: duplicate access entry for statement %d", idx)
-		}
-		info := &rewrite.AccessInfo{}
-		var op string
-		for _, dst := range []*string{&info.Sym, &op, &info.Region, &info.Field, &info.PrivateSym} {
-			s, err := r.str()
-			if err != nil {
-				return nil, err
+		for s, info := range pl.Access {
+			idx, ok := index[s]
+			if !ok {
+				c.failf("access entry for statement outside the loop body (%s)", s)
+				return
 			}
-			*dst = s
+			entries = append(entries, accessEntry{idx, info})
 		}
-		info.Op = lang.ReduceOp(op)
-		kind, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if kind > byte(infer.RangeAccess) {
-			return nil, fmt.Errorf("exec: progwire: unknown access kind %d", kind)
-		}
-		info.Kind = infer.AccessKind(kind)
-		flags, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		info.Centered = flags&1 != 0
-		info.Guarded = flags&2 != 0
-		info.Buffered = flags&4 != 0
-		pl.Access[st] = info
+		sort.Slice(entries, func(i, j int) bool { return entries[i].idx < entries[j].idx })
 	}
-	return pl, nil
+	seq(c, &entries, 4, func(e *accessEntry) {
+		if c.i32(&e.idx); c.dec {
+			e.info = &rewrite.AccessInfo{}
+		}
+		info := e.info
+		c.strs(&info.Sym, (*string)(&info.Op), &info.Region, &info.Field, &info.PrivateSym)
+		enum(c, &info.Kind, infer.RangeAccess, "access kind")
+		c.flags(&info.Centered, &info.Guarded, &info.Buffered)
+		if !c.dec || c.err != nil {
+			return
+		}
+		if e.idx < 0 || e.idx >= len(order) {
+			c.failf("access entry for statement %d of %d", e.idx, len(order))
+		} else if _, dup := pl.Access[order[e.idx]]; dup {
+			c.failf("duplicate access entry for statement %d", e.idx)
+		} else {
+			pl.Access[order[e.idx]] = info
+		}
+	})
 }
 
 // Statement tags on the wire.
@@ -847,210 +416,107 @@ const (
 	stmtLet
 )
 
-func appendPos(buf []byte, p lang.Pos) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Line))
-	return binary.LittleEndian.AppendUint32(buf, uint32(p.Col))
-}
-
-func (r *wireReader) srcPos() (lang.Pos, error) {
-	line, err := r.u32()
-	if err != nil {
-		return lang.Pos{}, err
-	}
-	col, err := r.u32()
-	if err != nil {
-		return lang.Pos{}, err
-	}
-	return lang.Pos{Line: int(int32(line)), Col: int(int32(col))}, nil
-}
-
-func appendStmts(buf []byte, stmts []ir.Stmt) ([]byte, error) {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(stmts)))
-	var err error
-	for _, s := range stmts {
-		if buf, err = appendStmt(buf, s); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-func appendStmt(buf []byte, s ir.Stmt) ([]byte, error) {
-	var err error
-	appendAll := func(tag byte, pos lang.Pos, strs ...string) error {
-		buf = append(buf, tag)
-		buf = appendPos(buf, pos)
-		for _, str := range strs {
-			if buf, err = appendStr(buf, str); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	switch st := s.(type) {
+func stmtTag(s ir.Stmt) byte {
+	switch s.(type) {
 	case *ir.Load:
-		return buf, appendAll(stmtLoad, st.Pos, st.Var, st.Region, st.Field, st.Idx)
+		return stmtLoad
 	case *ir.Store:
-		if err := appendAll(stmtStore, st.Pos, st.Region, st.Field, st.Idx, string(st.Op)); err != nil {
-			return nil, err
-		}
-		buf, err = appendScalarExpr(buf, st.Rhs)
-		return buf, err
+		return stmtStore
 	case *ir.Apply:
-		return buf, appendAll(stmtApply, st.Pos, st.Var, st.Func, st.Arg)
+		return stmtApply
 	case *ir.Alias:
-		return buf, appendAll(stmtAlias, st.Pos, st.Var, st.Src)
+		return stmtAlias
 	case *ir.Inner:
-		if err := appendAll(stmtInner, st.Pos, st.Var, st.RangeRegion, st.RangeField, st.Idx); err != nil {
-			return nil, err
-		}
-		buf, err = appendStmts(buf, st.Body)
-		return buf, err
+		return stmtInner
 	case *ir.IfIn:
-		if err := appendAll(stmtIfIn, st.Pos, st.Idx, st.Space); err != nil {
-			return nil, err
-		}
-		if buf, err = appendStmts(buf, st.Then); err != nil {
-			return nil, err
-		}
-		buf, err = appendStmts(buf, st.Else)
-		return buf, err
+		return stmtIfIn
 	case *ir.IfCmp:
-		if err := appendAll(stmtIfCmp, st.Pos, st.Op); err != nil {
-			return nil, err
-		}
-		if buf, err = appendScalarExpr(buf, st.L); err != nil {
-			return nil, err
-		}
-		if buf, err = appendScalarExpr(buf, st.R); err != nil {
-			return nil, err
-		}
-		if buf, err = appendStmts(buf, st.Then); err != nil {
-			return nil, err
-		}
-		buf, err = appendStmts(buf, st.Else)
-		return buf, err
+		return stmtIfCmp
 	case *ir.LetScalar:
-		if err := appendAll(stmtLet, st.Pos, st.Var); err != nil {
-			return nil, err
-		}
-		buf, err = appendScalarExpr(buf, st.Rhs)
-		return buf, err
-	default:
-		return nil, fmt.Errorf("exec: progwire: unserializable statement type %T", s)
+		return stmtLet
 	}
+	return 0
 }
 
-func readStmts(r *wireReader, depth int) ([]ir.Stmt, error) {
-	if depth > maxProgDepth {
-		return nil, fmt.Errorf("exec: progwire: statement nesting exceeds %d", maxProgDepth)
+// stmtAs returns the *T behind *s: the statement being encoded (whose
+// tag already established its type), or a fresh one a decode stores in
+// *s and then fills in.
+func stmtAs[T any, P interface {
+	*T
+	ir.Stmt
+}](c *codec, s *ir.Stmt) P {
+	if c.dec {
+		*s = P(new(T))
 	}
-	// A statement is at least tag + pos = 9 bytes.
-	n, err := r.count(9)
-	if err != nil {
-		return nil, err
-	}
-	var out []ir.Stmt
-	for i := 0; i < n; i++ {
-		s, err := readStmt(r, depth)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
+	return (*s).(P)
 }
 
-func readStmt(r *wireReader, depth int) (ir.Stmt, error) {
-	tag, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	pos, err := r.srcPos()
-	if err != nil {
-		return nil, err
-	}
-	strs := func(dsts ...*string) error {
-		for _, dst := range dsts {
-			s, err := r.str()
-			if err != nil {
-				return err
-			}
-			*dst = s
+func (c *codec) srcPos(p *lang.Pos) {
+	c.i32(&p.Line)
+	c.i32(&p.Col)
+}
+
+// stmts is a statement list, one nesting level down. A statement is at
+// least tag + pos = 9 bytes.
+func (c *codec) stmts(p *[]ir.Stmt) {
+	c.nest(func() { seq(c, p, 9, c.stmt) })
+}
+
+// stmt is a tag byte, the source position, the statement's strings, and
+// then its nested expressions and bodies.
+func (c *codec) stmt(s *ir.Stmt) {
+	var tag byte
+	if !c.dec {
+		if tag = stmtTag(*s); tag == 0 {
+			c.failf("unserializable statement type %T", *s)
+			return
 		}
-		return nil
 	}
+	c.u8(&tag)
 	switch tag {
 	case stmtLoad:
-		st := &ir.Load{Pos: pos}
-		return st, strs(&st.Var, &st.Region, &st.Field, &st.Idx)
+		st := stmtAs[ir.Load](c, s)
+		c.srcPos(&st.Pos)
+		c.strs(&st.Var, &st.Region, &st.Field, &st.Idx)
 	case stmtStore:
-		st := &ir.Store{Pos: pos}
-		var op string
-		if err := strs(&st.Region, &st.Field, &st.Idx, &op); err != nil {
-			return nil, err
-		}
-		st.Op = lang.ReduceOp(op)
-		if st.Rhs, err = readScalarExpr(r, depth+1); err != nil {
-			return nil, err
-		}
-		return st, nil
+		st := stmtAs[ir.Store](c, s)
+		c.srcPos(&st.Pos)
+		c.strs(&st.Region, &st.Field, &st.Idx, (*string)(&st.Op))
+		c.expr(&st.Rhs)
 	case stmtApply:
-		st := &ir.Apply{Pos: pos}
-		return st, strs(&st.Var, &st.Func, &st.Arg)
+		st := stmtAs[ir.Apply](c, s)
+		c.srcPos(&st.Pos)
+		c.strs(&st.Var, &st.Func, &st.Arg)
 	case stmtAlias:
-		st := &ir.Alias{Pos: pos}
-		return st, strs(&st.Var, &st.Src)
+		st := stmtAs[ir.Alias](c, s)
+		c.srcPos(&st.Pos)
+		c.strs(&st.Var, &st.Src)
 	case stmtInner:
-		st := &ir.Inner{Pos: pos}
-		if err := strs(&st.Var, &st.RangeRegion, &st.RangeField, &st.Idx); err != nil {
-			return nil, err
-		}
-		if st.Body, err = readStmts(r, depth+1); err != nil {
-			return nil, err
-		}
-		return st, nil
+		st := stmtAs[ir.Inner](c, s)
+		c.srcPos(&st.Pos)
+		c.strs(&st.Var, &st.RangeRegion, &st.RangeField, &st.Idx)
+		c.stmts(&st.Body)
 	case stmtIfIn:
-		st := &ir.IfIn{Pos: pos}
-		if err := strs(&st.Idx, &st.Space); err != nil {
-			return nil, err
-		}
-		if st.Then, err = readStmts(r, depth+1); err != nil {
-			return nil, err
-		}
-		if st.Else, err = readStmts(r, depth+1); err != nil {
-			return nil, err
-		}
-		return st, nil
+		st := stmtAs[ir.IfIn](c, s)
+		c.srcPos(&st.Pos)
+		c.strs(&st.Idx, &st.Space)
+		c.stmts(&st.Then)
+		c.stmts(&st.Else)
 	case stmtIfCmp:
-		st := &ir.IfCmp{Pos: pos}
-		if err := strs(&st.Op); err != nil {
-			return nil, err
-		}
-		if st.L, err = readScalarExpr(r, depth+1); err != nil {
-			return nil, err
-		}
-		if st.R, err = readScalarExpr(r, depth+1); err != nil {
-			return nil, err
-		}
-		if st.Then, err = readStmts(r, depth+1); err != nil {
-			return nil, err
-		}
-		if st.Else, err = readStmts(r, depth+1); err != nil {
-			return nil, err
-		}
-		return st, nil
+		st := stmtAs[ir.IfCmp](c, s)
+		c.srcPos(&st.Pos)
+		c.str(&st.Op)
+		c.expr(&st.L)
+		c.expr(&st.R)
+		c.stmts(&st.Then)
+		c.stmts(&st.Else)
 	case stmtLet:
-		st := &ir.LetScalar{Pos: pos}
-		if err := strs(&st.Var); err != nil {
-			return nil, err
-		}
-		if st.Rhs, err = readScalarExpr(r, depth+1); err != nil {
-			return nil, err
-		}
-		return st, nil
+		st := stmtAs[ir.LetScalar](c, s)
+		c.srcPos(&st.Pos)
+		c.str(&st.Var)
+		c.expr(&st.Rhs)
 	default:
-		return nil, fmt.Errorf("exec: progwire: unknown statement tag %d", tag)
+		c.failf("unknown statement tag %d", tag)
 	}
 }
 
@@ -1062,212 +528,114 @@ const (
 	exprBin
 )
 
-func appendScalarExpr(buf []byte, e ir.ScalarExpr) ([]byte, error) {
-	var err error
-	switch x := e.(type) {
-	case ir.Const:
-		buf = append(buf, exprConst)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x.V))
-		return buf, nil
-	case ir.VarExpr:
-		buf = append(buf, exprVar)
-		return appendStr(buf, x.Name)
-	case ir.CallExpr:
-		buf = append(buf, exprCall)
-		if buf, err = appendStr(buf, x.Func); err != nil {
-			return nil, err
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x.Args)))
-		for _, a := range x.Args {
-			if buf, err = appendScalarExpr(buf, a); err != nil {
-				return nil, err
+// expr is a tag byte plus the kind's operands, one nesting level down.
+// Expressions are values, so each case edits a copy and a decode stores
+// it back.
+func (c *codec) expr(e *ir.ScalarExpr) {
+	c.nest(func() {
+		var tag byte
+		if !c.dec {
+			switch (*e).(type) {
+			case ir.Const:
+				tag = exprConst
+			case ir.VarExpr:
+				tag = exprVar
+			case ir.CallExpr:
+				tag = exprCall
+			case ir.BinExpr:
+				tag = exprBin
+			default:
+				c.failf("unserializable scalar expression type %T", *e)
+				return
 			}
 		}
-		return buf, nil
-	case ir.BinExpr:
-		buf = append(buf, exprBin)
-		if buf, err = appendStr(buf, x.Op); err != nil {
-			return nil, err
+		c.u8(&tag)
+		var out ir.ScalarExpr
+		switch tag {
+		case exprConst:
+			x, _ := (*e).(ir.Const)
+			c.f64(&x.V)
+			out = x
+		case exprVar:
+			x, _ := (*e).(ir.VarExpr)
+			c.str(&x.Name)
+			out = x
+		case exprCall:
+			x, _ := (*e).(ir.CallExpr)
+			c.str(&x.Func)
+			seq(c, &x.Args, 1, c.expr)
+			out = x
+		case exprBin:
+			x, _ := (*e).(ir.BinExpr)
+			c.str(&x.Op)
+			c.expr(&x.L)
+			c.expr(&x.R)
+			out = x
+		default:
+			c.failf("unknown expression tag %d", tag)
 		}
-		if buf, err = appendScalarExpr(buf, x.L); err != nil {
-			return nil, err
+		if c.dec {
+			*e = out
 		}
-		return appendScalarExpr(buf, x.R)
-	default:
-		return nil, fmt.Errorf("exec: progwire: unserializable scalar expression type %T", e)
-	}
+	})
 }
 
-func readScalarExpr(r *wireReader, depth int) (ir.ScalarExpr, error) {
-	if depth > maxProgDepth {
-		return nil, fmt.Errorf("exec: progwire: expression nesting exceeds %d", maxProgDepth)
+// nodeResult is the worker → coordinator report: the node id, per step
+// and launch the node's statistics and timings (88 bytes a launch), and
+// the final owned pieces as length-framed data messages.
+func (c *codec) nodeResult(nr *NodeResult) {
+	c.version(progWireVersion, progWireVersion, errProgWireVersion)
+	c.i32(&nr.ID)
+	if !c.dec && len(nr.Times) != len(nr.Stats) {
+		c.failf("node result has %d stat steps but %d timing steps", len(nr.Stats), len(nr.Times))
 	}
-	tag, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case exprConst:
-		bits, err := r.u64()
-		if err != nil {
-			return nil, err
+	steps := len(nr.Stats)
+	c.list(&steps, 4, func(step int) {
+		var launches int
+		if c.dec {
+			nr.Stats, nr.Times = append(nr.Stats, nil), append(nr.Times, nil)
+		} else if launches = len(nr.Stats[step]); len(nr.Times[step]) != launches {
+			c.failf("node result step %d has %d stat launches but %d timing launches", step, launches, len(nr.Times[step]))
+			return
 		}
-		return ir.Const{V: math.Float64frombits(bits)}, nil
-	case exprVar:
-		name, err := r.str()
-		if err != nil {
-			return nil, err
+		if c.count(&launches, 88); c.dec {
+			nr.Stats[step], nr.Times[step] = make([]sim.NodeStats, launches), make([]NodeTiming, launches)
 		}
-		return ir.VarExpr{Name: name}, nil
-	case exprCall:
-		x := ir.CallExpr{}
-		if x.Func, err = r.str(); err != nil {
-			return nil, err
+		for li := 0; li < launches && c.err == nil; li++ {
+			ns, nt := &nr.Stats[step][li], &nr.Times[step][li]
+			c.f64(&ns.ComputeUnits)
+			c.f64(&ns.BufferElems)
+			c.f64(&ns.BytesIn)
+			c.f64(&ns.BytesOut)
+			c.wide(&ns.MsgsIn)
+			c.wide(&ns.MsgsOut)
+			c.wide(&ns.FragsIn)
+			c.wide(&ns.FragsOut)
+			c.i64(&nt.WallNS)
+			c.i64(&nt.ComputeNS)
+			c.i64(&nt.OverlapNS)
 		}
-		n, err := r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			a, err := readScalarExpr(r, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			x.Args = append(x.Args, a)
-		}
-		return x, nil
-	case exprBin:
-		x := ir.BinExpr{}
-		if x.Op, err = r.str(); err != nil {
-			return nil, err
-		}
-		if x.L, err = readScalarExpr(r, depth+1); err != nil {
-			return nil, err
-		}
-		if x.R, err = readScalarExpr(r, depth+1); err != nil {
-			return nil, err
-		}
-		return x, nil
-	default:
-		return nil, fmt.Errorf("exec: progwire: unknown expression tag %d", tag)
-	}
+	})
+	seq(c, &nr.final, 4, func(m *message) {
+		c.framed("result piece", func() { c.message(m) })
+	})
 }
 
 // EncodeNodeResult serializes one node's share of a run's outcome for
 // the worker → coordinator result frame.
 func EncodeNodeResult(nr *NodeResult) ([]byte, error) {
-	buf := []byte{progWireVersion}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(nr.ID))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(nr.Stats)))
-	if len(nr.Times) != len(nr.Stats) {
-		return nil, fmt.Errorf("exec: progwire: node result has %d stat steps but %d timing steps", len(nr.Stats), len(nr.Times))
-	}
-	for step, launches := range nr.Stats {
-		if len(nr.Times[step]) != len(launches) {
-			return nil, fmt.Errorf("exec: progwire: node result step %d has %d stat launches but %d timing launches", step, len(launches), len(nr.Times[step]))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(launches)))
-		for li, ns := range launches {
-			for _, v := range []float64{ns.ComputeUnits, ns.BufferElems, ns.BytesIn, ns.BytesOut} {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
-			for _, v := range []int{ns.MsgsIn, ns.MsgsOut, ns.FragsIn, ns.FragsOut} {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-			nt := nr.Times[step][li]
-			for _, v := range []int64{nt.WallNS, nt.ComputeNS, nt.OverlapNS} {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(nr.final)))
-	for i := range nr.final {
-		body, err := appendMessage(nil, &nr.final[i])
-		if err != nil {
-			return nil, err
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-		buf = append(buf, body...)
-	}
-	return buf, nil
+	var c codec
+	c.nodeResult(nr)
+	return c.encoded()
 }
 
 // DecodeNodeResult parses EncodeNodeResult's output.
 func DecodeNodeResult(data []byte) (*NodeResult, error) {
-	r := &wireReader{data: data}
-	v, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v != progWireVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", errProgWireVersion, v, progWireVersion)
-	}
 	nr := &NodeResult{}
-	id, err := r.u32()
-	if err != nil {
+	c := codec{dec: true, buf: data}
+	c.nodeResult(nr)
+	if err := c.done("node result"); err != nil {
 		return nil, err
-	}
-	nr.ID = int(id)
-	nsteps, err := r.count(4)
-	if err != nil {
-		return nil, err
-	}
-	for step := 0; step < nsteps; step++ {
-		nlaunches, err := r.count(88)
-		if err != nil {
-			return nil, err
-		}
-		stats := make([]sim.NodeStats, nlaunches)
-		times := make([]NodeTiming, nlaunches)
-		for li := range stats {
-			ns := &stats[li]
-			for _, dst := range []*float64{&ns.ComputeUnits, &ns.BufferElems, &ns.BytesIn, &ns.BytesOut} {
-				bits, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				*dst = math.Float64frombits(bits)
-			}
-			for _, dst := range []*int{&ns.MsgsIn, &ns.MsgsOut, &ns.FragsIn, &ns.FragsOut} {
-				v, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				*dst = int(int64(v))
-			}
-			nt := &times[li]
-			for _, dst := range []*int64{&nt.WallNS, &nt.ComputeNS, &nt.OverlapNS} {
-				v, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				*dst = int64(v)
-			}
-		}
-		nr.Stats = append(nr.Stats, stats)
-		nr.Times = append(nr.Times, times)
-	}
-	npieces, err := r.count(4)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < npieces; i++ {
-		n, err := r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		body, err := r.bytes(n)
-		if err != nil {
-			return nil, err
-		}
-		m, err := decodeMessage(body)
-		if err != nil {
-			return nil, err
-		}
-		nr.final = append(nr.final, m)
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("exec: progwire: %d trailing bytes after node result", r.remaining())
 	}
 	return nr, nil
 }

@@ -2,6 +2,8 @@ package exec_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -77,6 +79,36 @@ func TestProgramRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProgramGoldenBytes pins EncodeProgram's output byte for byte on
+// progCases at 3 nodes (digests computed when progWireVersion 1 was
+// introduced): a worker built from another commit of the same protocol
+// version must decode exactly these bytes.
+func TestProgramGoldenBytes(t *testing.T) {
+	golden := map[string]struct {
+		size int
+		sum  string
+	}{
+		"stencil":      {29129, "96f1e381933acb1670cb5ce0b124e1ce4acd7362b0bb7a7566ee62345dea0abc"},
+		"spmv":         {31948, "e8819fea71a7ab2b04049fde2420edef769d412d8c1bab48278119a91725da0d"},
+		"circuit-hint": {19112, "920be8bb37c5185c5f9b18329756e503c4a79dbbb181825e0d39e0964f47becf"},
+	}
+	for _, app := range progCases(t) {
+		prog, err := app.build(3)
+		if err != nil {
+			t.Fatalf("%s: build: %v", app.name, err)
+		}
+		blob, err := exec.EncodeProgram(prog)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", app.name, err)
+		}
+		sum := sha256.Sum256(blob)
+		want := golden[app.name]
+		if got := hex.EncodeToString(sum[:]); len(blob) != want.size || got != want.sum {
+			t.Errorf("%s: %d bytes sha256 %s, want %d bytes %s", app.name, len(blob), got, want.size, want.sum)
+		}
 	}
 }
 

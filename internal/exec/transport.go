@@ -24,7 +24,7 @@ import (
 //     has closed, each inbox drains and then closes.
 //
 // Implementations may also expose Err() error, which Run checks after
-// the nodes exit (the TCP transport reports socket failures this way).
+// the nodes exit (socket transports report stream failures this way).
 type Transport interface {
 	Send(from, to int, msg message)
 	Inbox(to int) <-chan message
@@ -56,87 +56,108 @@ func TransportByName(name string) (TransportFactory, error) {
 	}
 }
 
-// inboxQueue is one receiver's unbounded elastic mailbox feed: Send
-// appends under a lock (never blocking), a single forwarder goroutine
-// drains into the delivery channel, and the channel closes once every
-// sender has called CloseSend and the queue is empty.
-type inboxQueue struct {
+// queue is the package's one unbounded elastic FIFO: push appends
+// under a lock and never blocks, and a single consumer takes whatever
+// has accumulated, waiting on the doorbell when there is nothing. It
+// sits wherever a sender must not wait on a slower receiver — in front
+// of every node's inbox and in front of every socket writer — which is
+// what lets a node enqueue all of a launch's outgoing messages before
+// blocking on any receive (a cycle of waiting nodes would require some
+// send to block, and none can).
+type queue struct {
 	mu      sync.Mutex
 	q       []message
 	wake    chan struct{} // 1-buffered doorbell
-	senders int
-	out     chan message
+	senders int           // producers that have not called done
+	out     chan message  // inboxes only: the forwarder's delivery channel
 }
 
-func newInboxQueue(senders int) *inboxQueue {
-	iq := &inboxQueue{
-		wake:    make(chan struct{}, 1),
-		senders: senders,
-		out:     make(chan message),
-	}
-	go iq.forward()
-	return iq
+func newQueue(senders int) *queue {
+	return &queue{wake: make(chan struct{}, 1), senders: senders}
 }
 
-func (iq *inboxQueue) push(m message) {
-	iq.mu.Lock()
-	iq.q = append(iq.q, m)
-	iq.mu.Unlock()
-	iq.ring()
+// newInbox returns a queue whose forwarder goroutine delivers into out,
+// closing it once every sender is done and the queue has drained.
+func newInbox(senders int) *queue {
+	q := newQueue(senders)
+	q.out = make(chan message)
+	go func() {
+		for {
+			batch, open := q.take()
+			for _, m := range batch {
+				q.out <- m
+			}
+			if len(batch) == 0 {
+				if !open {
+					close(q.out)
+					return
+				}
+				q.wait()
+			}
+		}
+	}()
+	return q
 }
 
-// senderEOF marks one sender's end of stream: an eofMsg sentinel is
-// enqueued behind the sender's earlier messages (so a receiver never
-// sees the death notice before the data), then the live-sender count
-// drops; the inbox closes once it reaches zero and the queue drains.
-// from may be -1 when the dead sender's identity is unknown (a TCP
-// stream that failed before its hello frame).
-func (iq *inboxQueue) senderEOF(from int) {
-	iq.mu.Lock()
-	iq.q = append(iq.q, message{kind: eofMsg, from: from})
-	iq.senders--
-	iq.mu.Unlock()
-	iq.ring()
+func (q *queue) push(m message) {
+	q.mu.Lock()
+	q.q = append(q.q, m)
+	q.mu.Unlock()
+	q.ring()
 }
 
-func (iq *inboxQueue) ring() {
+// done declares one sender finished; everything it pushed earlier is
+// still delivered.
+func (q *queue) done() {
+	q.mu.Lock()
+	q.senders--
+	q.mu.Unlock()
+	q.ring()
+}
+
+// senderEOF marks one sender's end of stream on an inbox: an eofMsg
+// sentinel is enqueued behind the sender's earlier messages (so a
+// receiver never sees the death notice before the data), then the
+// sender is done. from may be -1 when the dead sender's identity is
+// unknown (a stream that failed before its hello frame).
+func (q *queue) senderEOF(from int) {
+	q.push(message{kind: eofMsg, from: from})
+	q.done()
+}
+
+func (q *queue) ring() {
 	select {
-	case iq.wake <- struct{}{}:
+	case q.wake <- struct{}{}:
 	default:
 	}
 }
 
-func (iq *inboxQueue) forward() {
-	for {
-		iq.mu.Lock()
-		q, senders := iq.q, iq.senders
-		iq.q = nil
-		iq.mu.Unlock()
-		for _, m := range q {
-			iq.out <- m
-		}
-		if len(q) == 0 && senders <= 0 {
-			close(iq.out)
-			return
-		}
-		if len(q) == 0 {
-			<-iq.wake
-		}
-	}
+// take removes and returns everything queued, in push order, without
+// blocking. open is false once every sender is done: an empty batch
+// with open false is the end of the stream.
+func (q *queue) take() (batch []message, open bool) {
+	q.mu.Lock()
+	batch, open = q.q, q.senders > 0
+	q.q = nil
+	q.mu.Unlock()
+	return batch, open
 }
+
+// wait blocks until a push or done has happened since the last take.
+func (q *queue) wait() { <-q.wake }
 
 // inprocTransport is the in-process default: per-receiver elastic
 // queues, no copies beyond the message structs themselves.
 type inprocTransport struct {
-	inboxes []*inboxQueue
+	inboxes []*queue
 }
 
 // InprocTransport returns the factory for the in-process transport.
 func InprocTransport() TransportFactory {
 	return func(nodes int) (Transport, error) {
-		t := &inprocTransport{inboxes: make([]*inboxQueue, nodes)}
+		t := &inprocTransport{inboxes: make([]*queue, nodes)}
 		for j := 0; j < nodes; j++ {
-			t.inboxes[j] = newInboxQueue(nodes - 1)
+			t.inboxes[j] = newInbox(nodes - 1)
 		}
 		return t, nil
 	}
@@ -150,11 +171,11 @@ func (t *inprocTransport) Send(from, to int, msg message) {
 func (t *inprocTransport) Inbox(to int) <-chan message { return t.inboxes[to].out }
 
 func (t *inprocTransport) CloseSend(from int) {
-	for to, iq := range t.inboxes {
+	for to, q := range t.inboxes {
 		if to == from {
 			continue
 		}
-		iq.senderEOF(from)
+		q.senderEOF(from)
 	}
 }
 

@@ -1,17 +1,18 @@
 package exec
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"autopart/internal/geometry"
 )
 
 // Wire format: a compact length-prefixed binary encoding of message,
-// used by the TCP transport. One frame per message:
+// used by every socket stream. One frame per message:
 //
 //	u32 payload length (not counting the prefix)
 //	u8  kind
@@ -28,308 +29,529 @@ import (
 // host; decode validates every length against the remaining frame so
 // corrupt or fuzzed input fails with an error instead of a panic or an
 // unbounded allocation.
-
-const (
-	wireFlagScalars = 1 << iota
-	wireFlagIndexes
-	wireFlagRanges
-	wireFlagPresent
-)
+//
+// Every layout in this file and progwire.go is declared once, as a
+// function over a codec that either appends or consumes: the same
+// sequence of primitive calls is the encoder and the decoder, so the
+// two cannot drift apart.
 
 // maxWireFrame bounds a frame's declared size (1 GiB): anything larger
 // is a corrupt prefix, not a plausible field piece.
 const maxWireFrame = 1 << 30
 
+// maxWireDepth bounds statement and scalar-expression nesting: real
+// programs are a handful of levels deep, and the limit keeps fuzzed
+// inputs from overflowing the decoder's stack.
+const maxWireDepth = 200
+
+// codec walks a layout in one of two directions: encoding appends to
+// buf, decoding consumes it from pos. Every primitive takes a pointer
+// and writes the value out or fills it in. The first failure sticks in
+// err and turns every later primitive into a no-op, so layouts read
+// straight through without per-field error checks; an encode never
+// stores through the pointers it is given.
+type codec struct {
+	dec   bool
+	buf   []byte
+	pos   int
+	depth int
+	err   error
+}
+
+func (c *codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+func (c *codec) failf(format string, args ...any) {
+	c.fail(fmt.Errorf("exec: wire: "+format, args...))
+}
+
+func (c *codec) remaining() int { return len(c.buf) - c.pos }
+
+// done ends a decode: it returns the sticky error, and input left
+// unconsumed is one.
+func (c *codec) done(what string) error {
+	if c.err == nil && c.remaining() != 0 {
+		c.failf("%d trailing bytes after %s", c.remaining(), what)
+	}
+	return c.err
+}
+
+// encoded ends an encode: the bytes, or the sticky error.
+func (c *codec) encoded() ([]byte, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.buf, nil
+}
+
+// writeTo ends an encode by handing the bytes to w in a single Write.
+func (c *codec) writeTo(w io.Writer) error {
+	if c.err != nil {
+		return c.err
+	}
+	_, err := w.Write(c.buf)
+	return err
+}
+
+// span is the one place bytes move: decoding returns the next n input
+// bytes (bounds-checked), encoding returns n fresh zeroed output bytes
+// for the caller to fill. After an error it returns nil (as it may for
+// n = 0, so only fixed-width callers test the result against nil).
+func (c *codec) span(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if !c.dec {
+		c.buf = append(c.buf, make([]byte, n)...)
+		return c.buf[len(c.buf)-n:]
+	}
+	if n < 0 || c.remaining() < n {
+		c.failf("truncated frame (want %d bytes, have %d)", n, c.remaining())
+		return nil
+	}
+	b := c.buf[c.pos : c.pos+n]
+	c.pos += n
+	return b
+}
+
+func (c *codec) u8(p *byte) {
+	if b := c.span(1); b != nil {
+		if c.dec {
+			*p = b[0]
+		} else {
+			b[0] = *p
+		}
+	}
+}
+
+// flag is one byte: any nonzero value decodes as true, true encodes
+// as 1.
+func (c *codec) flag(p *bool) {
+	var b byte
+	if *p {
+		b = 1
+	}
+	c.u8(&b)
+	if c.dec {
+		*p = b != 0
+	}
+}
+
+// flags packs up to eight booleans into one byte, first argument in
+// bit 0. Bits beyond the arguments are ignored on decode.
+func (c *codec) flags(ps ...*bool) {
+	var b byte
+	for i, p := range ps {
+		if *p {
+			b |= 1 << i
+		}
+	}
+	c.u8(&b)
+	if c.dec {
+		for i, p := range ps {
+			*p = b&(1<<i) != 0
+		}
+	}
+}
+
+// enum stores an int-backed enumeration in one byte, refusing values
+// outside [0, max] in either direction.
+func enum[E ~int](c *codec, p *E, max E, what string) {
+	b := byte(*p)
+	if !c.dec && (*p < 0 || *p > max) {
+		c.failf("%s %d out of range", what, int(*p))
+		return
+	}
+	if c.u8(&b); !c.dec || c.err != nil {
+		return
+	}
+	if E(b) > max {
+		c.failf("unknown %s %d", what, b)
+		return
+	}
+	*p = E(b)
+}
+
+// i32 is a 4-byte two's-complement integer held in an int.
+func (c *codec) i32(p *int) {
+	if b := c.span(4); b != nil {
+		if c.dec {
+			*p = int(int32(binary.LittleEndian.Uint32(b)))
+		} else {
+			binary.LittleEndian.PutUint32(b, uint32(*p))
+		}
+	}
+}
+
+func (c *codec) i64(p *int64) {
+	if b := c.span(8); b != nil {
+		if c.dec {
+			*p = int64(binary.LittleEndian.Uint64(b))
+		} else {
+			binary.LittleEndian.PutUint64(b, uint64(*p))
+		}
+	}
+}
+
+// wide is an 8-byte integer held in an int (counters that may exceed
+// 32 bits).
+func (c *codec) wide(p *int) {
+	v := int64(*p)
+	c.i64(&v)
+	if c.dec {
+		*p = int(v)
+	}
+}
+
+func (c *codec) f64(p *float64) {
+	v := int64(math.Float64bits(*p))
+	c.i64(&v)
+	if c.dec {
+		*p = math.Float64frombits(uint64(v))
+	}
+}
+
+func (c *codec) iv(p *geometry.Interval) {
+	c.i64(&p.Lo)
+	c.i64(&p.Hi)
+}
+
+// str is a u16 length plus that many bytes.
+func (c *codec) str(p *string) {
+	n := len(*p)
+	if n > math.MaxUint16 {
+		c.failf("string of %d bytes too long", n)
+		return
+	}
+	if b := c.span(2); b != nil {
+		if c.dec {
+			n = int(binary.LittleEndian.Uint16(b))
+		} else {
+			binary.LittleEndian.PutUint16(b, uint16(n))
+		}
+	}
+	if b := c.span(n); b != nil {
+		if c.dec {
+			*p = string(b)
+		} else {
+			copy(b, *p)
+		}
+	}
+}
+
+func (c *codec) strs(ps ...*string) {
+	for _, p := range ps {
+		c.str(p)
+	}
+}
+
+// count is a u32 element count. Decoding rejects any count that could
+// not fit in the remaining input at elemSize bytes per element — the
+// alloc guard: nothing sized by a count is allocated beyond what the
+// input itself could hold — and leaves *n untouched on failure.
+func (c *codec) count(n *int, elemSize int) {
+	if !c.dec && (*n < 0 || int64(*n) > math.MaxUint32) {
+		c.failf("count %d does not fit the format", *n)
+		return
+	}
+	b := c.span(4)
+	if c.err != nil {
+		return
+	}
+	if !c.dec {
+		binary.LittleEndian.PutUint32(b, uint32(*n))
+		return
+	}
+	v := binary.LittleEndian.Uint32(b)
+	if int64(v)*int64(elemSize) > int64(c.remaining()) {
+		c.failf("count %d exceeds frame remainder %d", v, c.remaining())
+		return
+	}
+	*n = int(v)
+}
+
+// list walks a counted sequence: the count, then fn once per element
+// until the first error.
+func (c *codec) list(n *int, elemSize int, fn func(i int)) {
+	c.count(n, elemSize)
+	for i := 0; i < *n && c.err == nil; i++ {
+		fn(i)
+	}
+}
+
+// seq is list over a slice: encoding visits the elements in place,
+// decoding appends them one by one, so the slice grows only as fast as
+// input is consumed (and a zero count leaves it nil).
+func seq[T any](c *codec, xs *[]T, elemSize int, elem func(*T)) {
+	n := len(*xs)
+	c.list(&n, elemSize, func(i int) {
+		if !c.dec {
+			elem(&(*xs)[i])
+			return
+		}
+		var x T
+		if elem(&x); c.err == nil {
+			*xs = append(*xs, x)
+		}
+	})
+}
+
+// nest runs fn one nesting level down, failing past maxWireDepth.
+func (c *codec) nest(fn func()) {
+	if c.depth > maxWireDepth {
+		c.failf("nesting exceeds %d levels", maxWireDepth)
+		return
+	}
+	c.depth++
+	fn()
+	c.depth--
+}
+
+// framed wraps fn's layout in a u32 length prefix. Decoding confines fn
+// to exactly the declared bytes and rejects any it leaves unread.
+func (c *codec) framed(what string, fn func()) {
+	if !c.dec {
+		at := len(c.buf)
+		if c.span(4) == nil {
+			return
+		}
+		fn()
+		if n := len(c.buf) - at - 4; n > maxWireFrame {
+			c.failf("%s of %d bytes exceeds limit", what, n)
+		} else if c.err == nil {
+			binary.LittleEndian.PutUint32(c.buf[at:], uint32(n))
+		}
+		return
+	}
+	var n int
+	c.count(&n, 1)
+	outer := c.buf
+	c.buf = c.buf[:c.pos+n]
+	fn()
+	c.done(what)
+	c.buf = outer
+}
+
+// The bulk payloads keep dedicated tight loops over one span: a single
+// bounds check per slice, no per-element call.
+
+func (c *codec) f64vals(xs []float64) {
+	b := c.span(8 * len(xs))
+	if c.err != nil {
+		return
+	}
+	if c.dec {
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		return
+	}
+	for i, v := range xs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+}
+
+func (c *codec) i64vals(xs []int64) {
+	b := c.span(8 * len(xs))
+	if c.err != nil {
+		return
+	}
+	if c.dec {
+		for i := range xs {
+			xs[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		return
+	}
+	for i, v := range xs {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+	}
+}
+
+func (c *codec) ivvals(xs []geometry.Interval) {
+	b := c.span(16 * len(xs))
+	if c.err != nil {
+		return
+	}
+	if c.dec {
+		for i := range xs {
+			xs[i].Lo = int64(binary.LittleEndian.Uint64(b[16*i:]))
+			xs[i].Hi = int64(binary.LittleEndian.Uint64(b[16*i+8:]))
+		}
+		return
+	}
+	for i, iv := range xs {
+		binary.LittleEndian.PutUint64(b[16*i:], uint64(iv.Lo))
+		binary.LittleEndian.PutUint64(b[16*i+8:], uint64(iv.Hi))
+	}
+}
+
+// f64s, i64s and ivs are a count plus that many values. A decoded
+// slice is never nil, so "present but empty" survives a round trip.
+func (c *codec) f64s(p *[]float64) {
+	n := len(*p)
+	if c.count(&n, 8); c.dec {
+		*p = make([]float64, n)
+	}
+	c.f64vals(*p)
+}
+
+func (c *codec) i64s(p *[]int64) {
+	n := len(*p)
+	if c.count(&n, 8); c.dec {
+		*p = make([]int64, n)
+	}
+	c.i64vals(*p)
+}
+
+func (c *codec) ivs(p *[]geometry.Interval) {
+	n := len(*p)
+	if c.count(&n, 16); c.dec {
+		*p = make([]geometry.Interval, n)
+	}
+	c.ivvals(*p)
+}
+
+// bits is a count plus a packed bitset of ceil(n/8) bytes.
+func (c *codec) bits(p *[]bool) {
+	n := len(*p)
+	c.count(&n, 0)
+	b := c.span((n + 7) / 8)
+	if c.err != nil {
+		return
+	}
+	if c.dec {
+		*p = make([]bool, n)
+		for i := range *p {
+			(*p)[i] = b[i/8]&(1<<(i%8)) != 0
+		}
+		return
+	}
+	for i, v := range *p {
+		if v {
+			b[i/8] |= 1 << (i % 8)
+		}
+	}
+}
+
+// blob is a u32 length plus raw bytes; decoding copies them out of the
+// frame (empty decodes as nil).
+func (c *codec) blob(p *[]byte) {
+	n := len(*p)
+	c.count(&n, 1)
+	b := c.span(n)
+	if c.err != nil {
+		return
+	}
+	if !c.dec {
+		copy(b, *p)
+	} else if n > 0 {
+		*p = append([]byte(nil), b...)
+	}
+}
+
+// set is an interval list. Decoding canonicalizes through
+// FromIntervals, so fuzzed overlapping or unsorted intervals decode to
+// a valid set (tag verification rejects any set the schedule does not
+// expect).
+func (c *codec) set(p *geometry.IndexSet) {
+	ivs := p.Intervals()
+	if c.ivs(&ivs); c.dec && c.err == nil {
+		*p = geometry.FromIntervals(ivs...)
+	}
+}
+
+// message is the data-frame body.
+func (c *codec) message(m *message) {
+	enum(c, &m.kind, math.MaxUint8, "message kind")
+	c.i32(&m.from)
+	c.i32(&m.step)
+	c.i32(&m.launch)
+	c.i32(&m.req)
+	c.strs(&m.region, &m.field)
+	c.set(&m.set)
+	// Exactly the payloads whose slice is non-nil travel.
+	scalars, indexes, ranges, present := m.scalars != nil, m.indexes != nil, m.ranges != nil, m.present != nil
+	c.flags(&scalars, &indexes, &ranges, &present)
+	if scalars {
+		c.f64s(&m.scalars)
+	}
+	if indexes {
+		c.i64s(&m.indexes)
+	}
+	if ranges {
+		c.ivs(&m.ranges)
+	}
+	if present {
+		c.bits(&m.present)
+	}
+}
+
 // appendMessage appends m's wire encoding (without the frame prefix).
 func appendMessage(buf []byte, m *message) ([]byte, error) {
-	if len(m.region) > math.MaxUint16 || len(m.field) > math.MaxUint16 {
-		return nil, fmt.Errorf("exec: wire: region/field name too long (%d/%d bytes)", len(m.region), len(m.field))
-	}
-	buf = append(buf, byte(m.kind))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.from))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.step))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.launch))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.req))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.region)))
-	buf = append(buf, m.region...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.field)))
-	buf = append(buf, m.field...)
-	ivs := m.set.Intervals()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ivs)))
-	for _, iv := range ivs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(iv.Lo))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(iv.Hi))
-	}
-	var flags byte
-	if m.scalars != nil {
-		flags |= wireFlagScalars
-	}
-	if m.indexes != nil {
-		flags |= wireFlagIndexes
-	}
-	if m.ranges != nil {
-		flags |= wireFlagRanges
-	}
-	if m.present != nil {
-		flags |= wireFlagPresent
-	}
-	buf = append(buf, flags)
-	if m.scalars != nil {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.scalars)))
-		for _, v := range m.scalars {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-	}
-	if m.indexes != nil {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.indexes)))
-		for _, v := range m.indexes {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		}
-	}
-	if m.ranges != nil {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.ranges)))
-		for _, iv := range m.ranges {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(iv.Lo))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(iv.Hi))
-		}
-	}
-	if m.present != nil {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.present)))
-		var acc byte
-		for i, b := range m.present {
-			if b {
-				acc |= 1 << (i % 8)
-			}
-			if i%8 == 7 {
-				buf = append(buf, acc)
-				acc = 0
-			}
-		}
-		if len(m.present)%8 != 0 {
-			buf = append(buf, acc)
-		}
-	}
-	return buf, nil
-}
-
-// wireReader consumes a frame with bounds checks on every read.
-type wireReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *wireReader) remaining() int { return len(r.data) - r.pos }
-
-func (r *wireReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, fmt.Errorf("exec: wire: truncated frame (want %d bytes, have %d)", n, r.remaining())
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *wireReader) u8() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *wireReader) u16() (uint16, error) {
-	b, err := r.bytes(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *wireReader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *wireReader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// count reads a u32 element count and rejects any that could not fit in
-// the remaining frame at elemSize bytes per element (the alloc guard).
-func (r *wireReader) count(elemSize int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if int64(n)*int64(elemSize) > int64(r.remaining()) {
-		return 0, fmt.Errorf("exec: wire: count %d exceeds frame remainder %d", n, r.remaining())
-	}
-	return int(n), nil
+	c := codec{buf: buf}
+	c.message(m)
+	return c.encoded()
 }
 
 // decodeMessage parses one frame body. It never panics on corrupt
 // input and never allocates more than the frame's own size.
 func decodeMessage(data []byte) (message, error) {
 	var m message
-	r := &wireReader{data: data}
-	kind, err := r.u8()
-	if err != nil {
-		return m, err
-	}
-	m.kind = msgKind(kind)
-	header := [4]*int{&m.from, &m.step, &m.launch, &m.req}
-	for _, dst := range header {
-		v, err := r.u32()
-		if err != nil {
-			return m, err
-		}
-		*dst = int(v)
-	}
-	for _, dst := range [2]*string{&m.region, &m.field} {
-		n, err := r.u16()
-		if err != nil {
-			return m, err
-		}
-		b, err := r.bytes(int(n))
-		if err != nil {
-			return m, err
-		}
-		*dst = string(b)
-	}
-	nivs, err := r.count(16)
-	if err != nil {
-		return m, err
-	}
-	ivs := make([]geometry.Interval, nivs)
-	for i := range ivs {
-		lo, err := r.u64()
-		if err != nil {
-			return m, err
-		}
-		hi, err := r.u64()
-		if err != nil {
-			return m, err
-		}
-		ivs[i] = geometry.Interval{Lo: int64(lo), Hi: int64(hi)}
-	}
-	// FromIntervals canonicalizes, so fuzzed overlapping or unsorted
-	// intervals decode to a valid set (tag verification rejects any set
-	// the schedule does not expect).
-	m.set = geometry.FromIntervals(ivs...)
-	flags, err := r.u8()
-	if err != nil {
-		return m, err
-	}
-	if flags&wireFlagScalars != 0 {
-		n, err := r.count(8)
-		if err != nil {
-			return m, err
-		}
-		m.scalars = make([]float64, n)
-		for i := range m.scalars {
-			v, err := r.u64()
-			if err != nil {
-				return m, err
-			}
-			m.scalars[i] = math.Float64frombits(v)
-		}
-	}
-	if flags&wireFlagIndexes != 0 {
-		n, err := r.count(8)
-		if err != nil {
-			return m, err
-		}
-		m.indexes = make([]int64, n)
-		for i := range m.indexes {
-			v, err := r.u64()
-			if err != nil {
-				return m, err
-			}
-			m.indexes[i] = int64(v)
-		}
-	}
-	if flags&wireFlagRanges != 0 {
-		n, err := r.count(16)
-		if err != nil {
-			return m, err
-		}
-		m.ranges = make([]geometry.Interval, n)
-		for i := range m.ranges {
-			lo, err := r.u64()
-			if err != nil {
-				return m, err
-			}
-			hi, err := r.u64()
-			if err != nil {
-				return m, err
-			}
-			m.ranges[i] = geometry.Interval{Lo: int64(lo), Hi: int64(hi)}
-		}
-	}
-	if flags&wireFlagPresent != 0 {
-		n, err := r.count(0)
-		if err != nil {
-			return m, err
-		}
-		packed, err := r.bytes((n + 7) / 8)
-		if err != nil {
-			return m, err
-		}
-		m.present = make([]bool, n)
-		for i := range m.present {
-			m.present[i] = packed[i/8]&(1<<(i%8)) != 0
-		}
-	}
-	if r.remaining() != 0 {
-		return m, fmt.Errorf("exec: wire: %d trailing bytes after message", r.remaining())
-	}
-	return m, nil
+	c := codec{dec: true, buf: data}
+	c.message(&m)
+	return m, c.done("message")
 }
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w *bufio.Writer, m *message) error {
-	body, err := appendMessage(nil, m)
-	if err != nil {
-		return err
-	}
-	if len(body) > maxWireFrame {
-		return fmt.Errorf("exec: wire: frame of %d bytes exceeds limit", len(body))
-	}
-	var prefix [4]byte
-	binary.LittleEndian.PutUint32(prefix[:], uint32(len(body)))
-	if _, err := w.Write(prefix[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
+// writeFrame writes one length-prefixed data frame in a single Write.
+func writeFrame(w io.Writer, m *message) error {
+	var c codec
+	c.framed("frame", func() { c.message(m) })
+	return c.writeTo(w)
 }
 
-// readFrame reads one length-prefixed frame; io.EOF (clean, at a frame
-// boundary) means the peer closed.
-func readFrame(r *bufio.Reader) (message, error) {
+// readFrame reads one length-prefixed data frame; io.EOF (clean, at a
+// frame boundary) means the peer closed.
+func readFrame(r io.Reader) (message, error) {
+	body, err := readFrameBody(r)
+	if err != nil {
+		return message{}, err
+	}
+	return decodeMessage(body)
+}
+
+// frameChunk bounds how far readFrameBody's buffer runs ahead of the
+// bytes that have actually arrived.
+const frameChunk = 256 << 10
+
+// readFrameBody reads the u32 length prefix every frame (data and
+// control) starts with, then the body. The prefix is the peer's claim,
+// not a fact: the buffer grows chunk by chunk as bytes arrive, so a
+// stream that declares a huge frame and goes quiet costs one chunk, not
+// the declared size. io.EOF is returned bare only at a frame boundary.
+func readFrameBody(r io.Reader) ([]byte, error) {
 	var prefix [4]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("exec: wire: truncated frame prefix")
+			err = errors.New("exec: wire: truncated frame prefix")
 		}
-		return message{}, err
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(prefix[:])
+	n := int(binary.LittleEndian.Uint32(prefix[:]))
 	if n > maxWireFrame {
-		return message{}, fmt.Errorf("exec: wire: frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("exec: wire: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return message{}, fmt.Errorf("exec: wire: truncated frame: %w", err)
+	var body []byte
+	for len(body) < n {
+		body = slices.Grow(body, min(n-len(body), frameChunk))
+		got, err := io.ReadFull(r, body[len(body):min(n, cap(body))])
+		if body = body[:len(body)+got]; err != nil {
+			return nil, fmt.Errorf("exec: wire: truncated frame (%d of %d bytes): %w", len(body), n, err)
+		}
 	}
-	return decodeMessage(body)
+	return body, nil
 }
 
 // Control plane: the bootstrap and lifecycle frames of a multi-process
@@ -423,146 +645,64 @@ type Ctrl struct {
 // protocol version byte does not match this build's WireProtoVersion.
 var ErrWireVersion = fmt.Errorf("exec: wire: protocol version mismatch")
 
+// version is a protocol version byte: v is what an encode writes, and
+// a decode refuses anything but want.
+func (c *codec) version(v, want uint8, mismatch error) {
+	if c.u8(&v); c.dec && c.err == nil && v != want {
+		c.fail(fmt.Errorf("%w: peer speaks version %d, this build speaks %d", mismatch, v, want))
+	}
+}
+
+// ctrl is the control-frame body under the given version byte.
+func (c *codec) ctrl(version uint8, k *Ctrl) {
+	c.version(version, WireProtoVersion, ErrWireVersion)
+	c.u8((*byte)(&k.Kind))
+	if c.dec && c.err == nil && (k.Kind < CtrlHello || k.Kind > CtrlAbort) {
+		c.failf("unknown ctrl kind %d", k.Kind)
+	}
+	c.i32(&k.Node)
+	c.i32(&k.Nodes)
+	c.i32(&k.Steps)
+	c.f64(&k.BytesPerElem)
+	c.str(&k.Text)
+	seq(c, &k.Addrs, 2, c.str)
+	c.blob(&k.Blob)
+}
+
 // AppendCtrl appends c's frame body under an explicit version byte.
 // Exported tests use a foreign version to exercise rejection; real
 // senders pass WireProtoVersion.
-func AppendCtrl(buf []byte, version uint8, c *Ctrl) ([]byte, error) {
-	buf = append(buf, version, byte(c.Kind))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Node))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Nodes))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Steps))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.BytesPerElem))
-	if len(c.Text) > math.MaxUint16 {
-		return nil, fmt.Errorf("exec: wire: ctrl text of %d bytes too long", len(c.Text))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.Text)))
-	buf = append(buf, c.Text...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Addrs)))
-	for _, a := range c.Addrs {
-		if len(a) > math.MaxUint16 {
-			return nil, fmt.Errorf("exec: wire: ctrl address of %d bytes too long", len(a))
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(a)))
-		buf = append(buf, a...)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Blob)))
-	return append(buf, c.Blob...), nil
-}
-
-// decodeCtrl parses one control frame body. Corrupt input errors out;
-// it never panics and never over-allocates.
-func decodeCtrl(data []byte) (Ctrl, error) {
-	var c Ctrl
-	r := &wireReader{data: data}
-	v, err := r.u8()
-	if err != nil {
-		return c, err
-	}
-	if v != WireProtoVersion {
-		return c, fmt.Errorf("%w: peer speaks version %d, this build speaks %d", ErrWireVersion, v, WireProtoVersion)
-	}
-	kind, err := r.u8()
-	if err != nil {
-		return c, err
-	}
-	if kind < byte(CtrlHello) || kind > byte(CtrlAbort) {
-		return c, fmt.Errorf("exec: wire: unknown ctrl kind %d", kind)
-	}
-	c.Kind = CtrlKind(kind)
-	for _, dst := range [3]*int{&c.Node, &c.Nodes, &c.Steps} {
-		v, err := r.u32()
-		if err != nil {
-			return c, err
-		}
-		*dst = int(int32(v))
-	}
-	bits, err := r.u64()
-	if err != nil {
-		return c, err
-	}
-	c.BytesPerElem = math.Float64frombits(bits)
-	n, err := r.u16()
-	if err != nil {
-		return c, err
-	}
-	text, err := r.bytes(int(n))
-	if err != nil {
-		return c, err
-	}
-	c.Text = string(text)
-	naddrs, err := r.count(2)
-	if err != nil {
-		return c, err
-	}
-	for i := 0; i < naddrs; i++ {
-		an, err := r.u16()
-		if err != nil {
-			return c, err
-		}
-		a, err := r.bytes(int(an))
-		if err != nil {
-			return c, err
-		}
-		c.Addrs = append(c.Addrs, string(a))
-	}
-	blobLen, err := r.count(1)
-	if err != nil {
-		return c, err
-	}
-	blob, err := r.bytes(blobLen)
-	if err != nil {
-		return c, err
-	}
-	if blobLen > 0 {
-		c.Blob = append([]byte(nil), blob...)
-	}
-	if r.remaining() != 0 {
-		return c, fmt.Errorf("exec: wire: %d trailing bytes after ctrl frame", r.remaining())
-	}
-	return c, nil
+func AppendCtrl(buf []byte, version uint8, k *Ctrl) ([]byte, error) {
+	c := codec{buf: buf}
+	c.ctrl(version, k)
+	return c.encoded()
 }
 
 // WriteCtrl writes one length-prefixed control frame and flushes it to
 // w in a single Write (control conns have one writer at a time, so the
 // frame lands atomically enough for interleaved readers).
-func WriteCtrl(w io.Writer, c *Ctrl) error {
-	return writeCtrlVersion(w, WireProtoVersion, c)
+func WriteCtrl(w io.Writer, k *Ctrl) error {
+	return writeCtrlVersion(w, WireProtoVersion, k)
 }
 
 // writeCtrlVersion is WriteCtrl with an explicit version byte; tests
 // use it to present a foreign protocol version.
-func writeCtrlVersion(w io.Writer, version uint8, c *Ctrl) error {
-	body, err := AppendCtrl(nil, version, c)
-	if err != nil {
-		return err
-	}
-	if len(body) > maxWireFrame {
-		return fmt.Errorf("exec: wire: ctrl frame of %d bytes exceeds limit", len(body))
-	}
-	frame := make([]byte, 4, 4+len(body))
-	binary.LittleEndian.PutUint32(frame, uint32(len(body)))
-	frame = append(frame, body...)
-	_, err = w.Write(frame)
-	return err
+func writeCtrlVersion(w io.Writer, version uint8, k *Ctrl) error {
+	var c codec
+	c.framed("ctrl frame", func() { c.ctrl(version, k) })
+	return c.writeTo(w)
 }
 
 // ReadCtrl reads one length-prefixed control frame. io.EOF (clean, at a
-// frame boundary) means the peer closed the control conn.
+// frame boundary) means the peer closed the control conn. Corrupt input
+// errors out; it never panics and never over-allocates.
 func ReadCtrl(r io.Reader) (Ctrl, error) {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("exec: wire: truncated ctrl frame prefix")
-		}
-		return Ctrl{}, err
+	var k Ctrl
+	body, err := readFrameBody(r)
+	if err != nil {
+		return k, err
 	}
-	n := binary.LittleEndian.Uint32(prefix[:])
-	if n > maxWireFrame {
-		return Ctrl{}, fmt.Errorf("exec: wire: ctrl frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Ctrl{}, fmt.Errorf("exec: wire: truncated ctrl frame: %w", err)
-	}
-	return decodeCtrl(body)
+	c := codec{dec: true, buf: body}
+	c.ctrl(WireProtoVersion, &k)
+	return k, c.done("ctrl frame")
 }

@@ -3,12 +3,18 @@ package exec
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"autopart/internal/geometry"
+	"autopart/internal/ir"
+	"autopart/internal/sim"
 )
 
 func wireMessages() []message {
@@ -175,4 +181,128 @@ func FuzzDecodeMessage(f *testing.F) {
 			t.Errorf("canonical round trip diverged:\n first  %+v\n second %+v", m, again)
 		}
 	})
+}
+
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestWireGoldenBytes pins the wire format byte for byte: the digests
+// were computed at the commit that introduced WireProtoVersion 1's
+// layouts, so any codec change that moves a byte fails here instead of
+// against a peer from another build. A deliberate format change bumps
+// WireProtoVersion and recomputes them.
+func TestWireGoldenBytes(t *testing.T) {
+	var msgs []byte
+	for i, m := range wireMessages() {
+		var err error
+		if msgs, err = appendMessage(msgs, &m); err != nil {
+			t.Fatalf("message %d: encode: %v", i, err)
+		}
+	}
+	nr := &NodeResult{
+		ID: 2,
+		Stats: [][]sim.NodeStats{
+			{{ComputeUnits: 1.5, BufferElems: 2, BytesIn: 4096, BytesOut: 8192, MsgsIn: 3, MsgsOut: 4, FragsIn: 5, FragsOut: 6}, {}},
+			{{ComputeUnits: math.Inf(1), MsgsIn: -1}, {BytesOut: 0.25, FragsOut: 1 << 40}},
+		},
+		Times: [][]NodeTiming{
+			{{WallNS: 1000, ComputeNS: 800, OverlapNS: 30}, {}},
+			{{WallNS: -7}, {ComputeNS: 1 << 50}},
+		},
+		final: wireMessages()[1:5],
+	}
+	result, err := EncodeNodeResult(nr)
+	if err != nil {
+		t.Fatalf("node result: encode: %v", err)
+	}
+	ctrl, err := AppendCtrl(nil, WireProtoVersion, &Ctrl{
+		Kind: CtrlProgram, Node: 3, Nodes: 8, Steps: 5, BytesPerElem: 8.5,
+		Text: "127.0.0.1:4242", Addrs: []string{"a:1", "", "host.example:65535"},
+		Blob: []byte{0, 1, 2, 0xff},
+	})
+	if err != nil {
+		t.Fatalf("ctrl: encode: %v", err)
+	}
+	for _, g := range []struct {
+		name string
+		got  []byte
+		size int
+		want string
+	}{
+		{"messages", msgs, 493, "bf5e112d175301cefbdf6aff6d715f8e27f95c639c95f60549e230d73767d00f"},
+		{"node result", result, 822, "6ecca87c600624530c454a4f5ad2bd1491879cfb675ca4bc0b04b4ac3612be33"},
+		{"ctrl", ctrl, 77, "c5e42209da02bea7578e425d72df9a7ce2dc4b4c5bf3231619120db6663890b5"},
+	} {
+		if len(g.got) != g.size || digest(g.got) != g.want {
+			t.Errorf("%s: %d bytes sha256 %s, want %d bytes %s", g.name, len(g.got), digest(g.got), g.size, g.want)
+		}
+	}
+}
+
+// TestFrameLengthIsNotPreallocated is the regression test for trusting
+// the length prefix: a peer that declares a maximum-size frame and then
+// goes away must cost the reader one bounded chunk, not the gigabyte it
+// claimed — on both the data-frame and the control-frame path (a
+// worker's control listener reads its first frame from whoever
+// connects).
+func TestFrameLengthIsNotPreallocated(t *testing.T) {
+	claim := binary.LittleEndian.AppendUint32(nil, maxWireFrame)
+	readers := map[string]func(io.Reader) error{
+		"readFrame": func(r io.Reader) error { _, err := readFrame(bufio.NewReader(r)); return err },
+		"ReadCtrl":  func(r io.Reader) error { _, err := ReadCtrl(r); return err },
+	}
+	for name, read := range readers {
+		for _, sent := range []int{0, 100} {
+			input := append(append([]byte{}, claim...), make([]byte, sent)...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read(bytes.NewReader(input))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s: accepted a 1 GiB frame of which %d bytes arrived", name, sent)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
+				t.Errorf("%s: allocated %d bytes for a 1 GiB claim of which %d bytes arrived, want < 2 MiB", name, grew, sent)
+			}
+		}
+	}
+}
+
+// TestWireDepthLimit pins the nesting bound as a property of the codec
+// itself: maxWireDepth+1 levels pass in both directions, one more is
+// refused in both — an encoder cannot produce what a decoder would
+// reject.
+func TestWireDepthLimit(t *testing.T) {
+	nested := func(levels int) (ir.ScalarExpr, []byte) {
+		var e ir.ScalarExpr = ir.Const{V: 1}
+		blob := append([]byte{exprConst}, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1))...)
+		for i := 1; i < levels; i++ {
+			e = ir.CallExpr{Func: "f", Args: []ir.ScalarExpr{e}}
+			blob = append([]byte{exprCall, 1, 0, 'f', 1, 0, 0, 0}, blob...)
+		}
+		return e, blob
+	}
+	for _, tc := range []struct {
+		levels int
+		ok     bool
+	}{{maxWireDepth + 1, true}, {maxWireDepth + 2, false}} {
+		e, blob := nested(tc.levels)
+		var enc codec
+		enc.expr(&e)
+		if got, err := enc.encoded(); (err == nil) != tc.ok {
+			t.Errorf("encode of %d levels: err = %v", tc.levels, err)
+		} else if tc.ok && !bytes.Equal(got, blob) {
+			t.Errorf("encode of %d levels does not match the hand-written bytes", tc.levels)
+		}
+		var got ir.ScalarExpr
+		dec := codec{dec: true, buf: blob}
+		dec.expr(&got)
+		if err := dec.done("expression"); (err == nil) != tc.ok {
+			t.Errorf("decode of %d levels: err = %v", tc.levels, err)
+		} else if tc.ok && !reflect.DeepEqual(got, e) {
+			t.Errorf("decode of %d levels diverged from the encoded expression", tc.levels)
+		}
+	}
 }
