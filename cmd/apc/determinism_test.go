@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"autopart/internal/par"
 	"autopart/pkg/autopart"
 )
 
@@ -30,34 +31,34 @@ func builtinSources(t *testing.T) map[string]string {
 func TestParallelSequentialDeterminism(t *testing.T) {
 	for name, src := range builtinSources(t) {
 		t.Run(name, func(t *testing.T) {
-			autopart.SequentialEvaluation(true)
+			par.SetSequential(true)
 			seq, err := autopart.Compile(src, autopart.Options{})
-			autopart.SequentialEvaluation(false)
+			par.SetSequential(false)
 			if err != nil {
 				t.Fatalf("sequential compile: %v", err)
 			}
-			par, err := autopart.Compile(src, autopart.Options{})
+			parallel, err := autopart.Compile(src, autopart.Options{})
 			if err != nil {
 				t.Fatalf("parallel compile: %v", err)
 			}
 
-			if len(seq.Solution.Canon) != len(par.Solution.Canon) {
+			if len(seq.Solution.Canon) != len(parallel.Solution.Canon) {
 				t.Fatalf("Canon size differs: sequential %d vs parallel %d",
-					len(seq.Solution.Canon), len(par.Solution.Canon))
+					len(seq.Solution.Canon), len(parallel.Solution.Canon))
 			}
 			for sym, want := range seq.Solution.Canon {
-				if got, ok := par.Solution.Canon[sym]; !ok || got != want {
+				if got, ok := parallel.Solution.Canon[sym]; !ok || got != want {
 					t.Errorf("Canon[%q]: sequential %q, parallel %q (present=%v)", sym, want, got, ok)
 				}
 			}
-			if s, p := seq.Solution.Program.String(), par.Solution.Program.String(); s != p {
+			if s, p := seq.Solution.Program.String(), parallel.Solution.Program.String(); s != p {
 				t.Errorf("DPL program differs:\n--- sequential ---\n%s\n--- parallel ---\n%s", s, p)
 			}
 
 			// Full driver output (constraints + launches), timing stripped.
-			autopart.SequentialEvaluation(true)
+			par.SetSequential(true)
 			seqOut, seqErr, code := runAPC(t, "", "-builtin", name, "-constraints", "-launches")
-			autopart.SequentialEvaluation(false)
+			par.SetSequential(false)
 			if code != 0 {
 				t.Fatalf("sequential apc exit %d:\n%s", code, seqErr)
 			}

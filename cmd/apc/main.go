@@ -28,9 +28,8 @@
 //
 //	apc: prog.dsl:3:7: error[C014]: unknown region "Cels"
 //
-// and -explain documents any code. With -trace (or AUTOPART_TRACE=1 in
-// the environment) the compiler emits one JSON line per pass to stderr
-// with wall time and artifact metrics.
+// and -explain documents any code. With -trace the compiler emits one
+// JSON line per pass to stderr with wall time and artifact metrics.
 package main
 
 import (

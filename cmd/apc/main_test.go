@@ -31,9 +31,13 @@ func stripTiming(s string) string {
 	return strings.Join(out, "\n")
 }
 
+// tracePasses is the pipeline's pass order, one -trace line each.
+var tracePasses = []string{"parse", "check", "normalize", "infer", "relax", "solve", "private", "rewrite"}
+
 // TestGoldenBuiltins proves that -constraints -launches output for every
 // builtin benchmark is byte-identical to the goldens captured before the
-// pass-pipeline refactor.
+// pass-pipeline refactor, with and without -trace: tracing writes one
+// JSON line per pass to stderr and leaves stdout untouched.
 func TestGoldenBuiltins(t *testing.T) {
 	for _, b := range []string{"spmv", "stencil", "circuit", "miniaero", "pennant"} {
 		t.Run(b, func(t *testing.T) {
@@ -41,12 +45,33 @@ func TestGoldenBuiltins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stdout, stderr, code := runAPC(t, "", "-builtin", b, "-constraints", "-launches")
-			if code != 0 {
-				t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-			}
-			if got := stripTiming(stdout); got != string(want) {
-				t.Errorf("output differs from golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			for _, trace := range []bool{false, true} {
+				args := []string{"-builtin", b, "-constraints", "-launches"}
+				if trace {
+					args = append(args, "-trace")
+				}
+				stdout, stderr, code := runAPC(t, "", args...)
+				if code != 0 {
+					t.Fatalf("trace=%v: exit %d, stderr:\n%s", trace, code, stderr)
+				}
+				if got := stripTiming(stdout); got != string(want) {
+					t.Errorf("trace=%v: output differs from golden\n--- got ---\n%s\n--- want ---\n%s", trace, got, want)
+				}
+				if !trace {
+					continue
+				}
+				lines := strings.Split(strings.TrimSpace(stderr), "\n")
+				if len(lines) != len(tracePasses) {
+					t.Fatalf("got %d trace lines, want %d:\n%s", len(lines), len(tracePasses), stderr)
+				}
+				for i, line := range lines {
+					var rec struct {
+						Pass string `json:"pass"`
+					}
+					if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Pass != tracePasses[i] {
+						t.Errorf("trace line %d: want pass %q, got %q (%v)", i, tracePasses[i], line, err)
+					}
+				}
 			}
 		})
 	}
@@ -113,7 +138,6 @@ func TestFileDiagnosticUsesPath(t *testing.T) {
 // TestTraceEmitsOneJSONLinePerPass asserts -trace produces one parseable
 // JSON line per pipeline pass, in order, with wall time and metrics.
 func TestTraceEmitsOneJSONLinePerPass(t *testing.T) {
-	wantPasses := []string{"parse", "check", "normalize", "infer", "relax", "solve", "private", "rewrite"}
 	for _, b := range []string{"spmv", "stencil", "circuit", "miniaero", "pennant"} {
 		t.Run(b, func(t *testing.T) {
 			_, stderr, code := runAPC(t, "", "-builtin", b, "-trace")
@@ -121,8 +145,8 @@ func TestTraceEmitsOneJSONLinePerPass(t *testing.T) {
 				t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 			}
 			lines := strings.Split(strings.TrimSpace(stderr), "\n")
-			if len(lines) != len(wantPasses) {
-				t.Fatalf("got %d trace lines, want %d:\n%s", len(lines), len(wantPasses), stderr)
+			if len(lines) != len(tracePasses) {
+				t.Fatalf("got %d trace lines, want %d:\n%s", len(lines), len(tracePasses), stderr)
 			}
 			for i, line := range lines {
 				var rec struct {
@@ -134,8 +158,8 @@ func TestTraceEmitsOneJSONLinePerPass(t *testing.T) {
 				if err := json.Unmarshal([]byte(line), &rec); err != nil {
 					t.Fatalf("line %d not JSON: %v\n%s", i, err, line)
 				}
-				if rec.Pass != wantPasses[i] || rec.Index != i {
-					t.Errorf("line %d: got pass %q index %d, want %q index %d", i, rec.Pass, rec.Index, wantPasses[i], i)
+				if rec.Pass != tracePasses[i] || rec.Index != i {
+					t.Errorf("line %d: got pass %q index %d, want %q index %d", i, rec.Pass, rec.Index, tracePasses[i], i)
 				}
 				if rec.WallUS == nil {
 					t.Errorf("line %d: missing wall_us", i)

@@ -26,9 +26,9 @@
 // report with its "error" field set, and exits nonzero.
 //
 // -size small selects the reduced per-node configurations the wide
-// test matrix and cmd/execbench use, making high node counts (and the
-// race detector) affordable; the partition geometry and protocol paths
-// are the same as at default size.
+// test matrix and the bench exec-wide workload use, making high node
+// counts (and the race detector) affordable; the partition geometry and
+// protocol paths are the same as at default size.
 // -min-bytes N exits nonzero unless at least N bytes of ghost/reduction
 // traffic moved (CI smoke tests assert nonzero traffic this way).
 // -no-check skips the bit-identity comparison against the sequential

@@ -163,7 +163,7 @@ func (g *Graph) CanExtend(sys *System) bool {
 // receiver must have been built from a system whose Preds/Subsets are a
 // prefix of sys's (content-wise) — the accumulated systems of
 // Algorithm 3 grow by appending, so the solver maintains that invariant
-// by construction and asserts it under AUTOPART_DEBUG_GRAPHCACHE=1. The
+// by construction and its tests assert it on every served graph. The
 // receiver is not mutated; when sys adds nothing, the receiver itself is
 // returned.
 func (g *Graph) Extended(sys *System) *Graph {
@@ -408,7 +408,7 @@ func (g *Graph) String() string {
 // order) and edges (in system order, by endpoint names and label). Two
 // graphs of the same system fingerprint identically regardless of how
 // they were built (BuildGraph vs Extended); the solver's
-// AUTOPART_DEBUG_GRAPHCACHE assertion relies on exactly that.
+// accumulated-graph check (checkGraphCache) relies on exactly that.
 func (g *Graph) Fingerprint() [2]uint64 {
 	var h [2]uint64
 	fold := func(p [2]uint64) {

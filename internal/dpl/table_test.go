@@ -130,10 +130,10 @@ func TestTableReset(t *testing.T) {
 
 // TestStatsToggleRace hammers EnableStats flips against concurrent
 // interning on a private table; under -race this pins the fix for the
-// old package-global toggle (compilebench's stats-enabled rerun used to
-// flip a global that in-flight compiles observed mid-run). Counters are
-// per-instance atomics and Stats() retries across resets, so the worst
-// outcome is an undercount, never a torn read.
+// old package-global toggle (a benchmark driver's stats-enabled rerun
+// used to flip a global that in-flight compiles observed mid-run).
+// Counters are per-instance atomics and Stats() retries across resets,
+// so the worst outcome is an undercount, never a torn read.
 func TestStatsToggleRace(t *testing.T) {
 	tab := NewTable()
 	var wg sync.WaitGroup

@@ -2,16 +2,12 @@
 // evaluation engine (region partition operators, the sim scaling driver).
 // It is a thin stdlib-only layer: a Do(n, fn) fan-out over GOMAXPROCS
 // goroutines with deterministic result placement (callers index into
-// pre-sized output slices), plus a process-wide sequential switch used to
-// debug or to compare parallel and sequential evaluations bit-for-bit.
-//
-// Sequential mode is entered either programmatically (SetSequential) or
-// by setting the AUTOPART_SEQUENTIAL environment variable to any
-// non-empty value before the process starts.
+// pre-sized output slices), plus a process-wide sequential switch
+// (SetSequential) that tests use to compare parallel and sequential
+// evaluations bit-for-bit.
 package par
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,12 +18,6 @@ var (
 	// workers overrides the pool size when > 0; 0 means GOMAXPROCS.
 	workers atomic.Int64
 )
-
-func init() {
-	if os.Getenv("AUTOPART_SEQUENTIAL") != "" {
-		sequential.Store(true)
-	}
-}
 
 // SetSequential switches every subsequent Do call to inline sequential
 // execution (true) or back to the worker pool (false). Process-wide.

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"os"
 	"sort"
 	"time"
 
@@ -42,6 +41,12 @@ func (s *Solver) solvable(sys *constraint.System) bool {
 	return ok
 }
 
+// checkGraphCache makes UnifyAndSolve fingerprint-check every graph its
+// accumulated-graph cache serves against a fresh BuildGraph, panicking
+// on a mismatch. The solver's tests switch it on; compiles skip the
+// rebuild it costs.
+var checkGraphCache bool
+
 // sysSize measures a system for Algorithm 3's descending-size sort.
 func sysSize(sys *constraint.System) int {
 	return len(sys.Preds) + len(sys.Subsets)
@@ -69,8 +74,8 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 	// own set. Both grow monotonically — combined only ever appends — so
 	// they are maintained incrementally across the whole run instead of
 	// being rebuilt per system (which made unification quadratic in the
-	// accumulated size across many-loop programs). extCombined mirrors
-	// mergeSystems(external, combined): the deduplicated external
+	// accumulated size across many-loop programs). extCombined is the
+	// deduplicated conjunction of external and combined: the external
 	// conjuncts followed by combined's novel ones, in append order.
 	basePred := make(map[constraint.Pred]bool, len(s.external.Preds))
 	baseSub := make(map[constraint.Subset]bool, len(s.external.Subsets))
@@ -104,14 +109,13 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 	// extCombined itself only ever grows by appending (growCombined) —
 	// so extGraph, the graph of extCombined's conjuncts, is extended
 	// with each delta instead of rebuilt, and per-round merged graphs
-	// extend it further. The prefix invariant is by construction; under
-	// AUTOPART_DEBUG_GRAPHCACHE=1 every served graph is checked against
-	// a fresh BuildGraph so an in-place System mutation (or a broken
-	// invariant) can never silently serve a stale graph. Systems are
+	// extend it further. The prefix invariant is by construction; with
+	// checkGraphCache on (every solver test) each served graph is checked
+	// against a fresh BuildGraph so an in-place System mutation (or a
+	// broken invariant) can never silently serve a stale graph. Systems are
 	// never mutated after construction (growCombined and mergeWithBase
 	// hand out fresh headers whenever content grows), so pointer
 	// identity remains a sound round-to-round cache key.
-	debugGraphCache := os.Getenv("AUTOPART_DEBUG_GRAPHCACHE") == "1"
 	var cachedAccGraph, extGraph *constraint.Graph
 	var cachedAccFor *constraint.System
 	noteGraph := func(extended bool) {
@@ -142,10 +146,10 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 				noteGraph(true)
 			}
 			cachedAccFor = sys
-			if debugGraphCache {
+			if checkGraphCache {
 				fresh := constraint.BuildGraph(sys)
 				if fresh.Fingerprint() != cachedAccGraph.Fingerprint() {
-					panic("solver: accumulated-graph cache served a stale graph (AUTOPART_DEBUG_GRAPHCACHE)")
+					panic("solver: accumulated-graph cache served a stale graph")
 				}
 			}
 		}
@@ -153,7 +157,7 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 	}
 
 	// growCombined appends sys's novel, non-tautological conjuncts to
-	// combined and extCombined (replicating mergeSystems order), updating
+	// combined and extCombined (preserving append order), updating
 	// the membership sets. Grown systems get fresh System headers so
 	// lazily built caches (index, masks, fingerprint) never go stale;
 	// untouched ones keep their pointer, which the accumulated-graph
@@ -192,7 +196,7 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 	}
 
 	// deltaCounts reports how many conjuncts of sys are not in the
-	// baseline (deduplicated exactly as subtractSystem would). §3.2: only
+	// baseline, counting each distinct conjunct once. §3.2: only
 	// unifications that reduce the number of subset constraints are
 	// worthwhile; the external assumptions count as already present.
 	deltaCounts := func(sys *constraint.System) (subs, total int) {
@@ -441,8 +445,8 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 			}
 			// Filter conjuncts already accumulated and keep looking for
 			// further common subgraphs (line 16 of Algorithm 3). The live
-			// membership sets stand in for a subtractSystem/mergeSystems
-			// pass over the accumulated conjuncts.
+			// membership sets stand in for a subtract/merge pass over the
+			// accumulated conjuncts.
 			remaining = subtractSets(remaining, combinedPred, combinedSub)
 			accGraphSys = mergeWithBase(extCombined, remaining, basePred, baseSub)
 		}
@@ -490,41 +494,13 @@ func applyRenames(sys *constraint.System, renames map[string]string) *constraint
 	return sys.RenamedSyms(renames)
 }
 
-// mergeSystems conjoins systems with deduplication. Pred and Subset are
-// comparable value structs whose expressions are structurally unique
-// under ==, so they serve as map keys directly — the merge is linear,
-// with no string building (constructing conjunct Keys here would cost
-// more than it saves).
-func mergeSystems(systems ...*constraint.System) *constraint.System {
-	out := &constraint.System{}
-	predSeen := map[constraint.Pred]bool{}
-	subSeen := map[constraint.Subset]bool{}
-	for _, sys := range systems {
-		if sys == nil {
-			continue
-		}
-		for _, p := range sys.Preds {
-			if !predSeen[p] {
-				predSeen[p] = true
-				out.Preds = append(out.Preds, p)
-			}
-		}
-		for _, c := range sys.Subsets {
-			if dpl.Equal(c.L, c.R) {
-				continue
-			}
-			if !subSeen[c] {
-				subSeen[c] = true
-				out.Subsets = append(out.Subsets, c)
-			}
-		}
-	}
-	return out
-}
-
-// subtractSets is subtractSystem against precomputed membership sets
-// (the solver maintains combined's sets incrementally, so the per-commit
-// pass over the accumulated system disappears).
+// subtractSets removes the conjuncts in the membership sets from a and
+// deduplicates the rest (the solver maintains combined's sets
+// incrementally, so the per-commit pass over the accumulated system
+// disappears). Pred and Subset are comparable value structs whose
+// expressions are structurally unique under ==, so they serve as map
+// keys directly here and in mergeWithBase — linear, with no string
+// building (constructing conjunct Keys would cost more than it saves).
 func subtractSets(a *constraint.System, predB map[constraint.Pred]bool, subB map[constraint.Subset]bool) *constraint.System {
 	out := &constraint.System{}
 	predSeen := map[constraint.Pred]bool{}
@@ -548,7 +524,7 @@ func subtractSets(a *constraint.System, predB map[constraint.Pred]bool, subB map
 }
 
 // mergeWithBase conjoins prefix (already deduplicated) with add's
-// conjuncts not in the base membership sets — mergeSystems specialized
+// conjuncts not in the base membership sets, deduplicated — specialized
 // to the "accumulated system plus fresh remainder" shape so only the
 // small side pays dedup hashing.
 func mergeWithBase(prefix, add *constraint.System, basePred map[constraint.Pred]bool, baseSub map[constraint.Subset]bool) *constraint.System {
@@ -577,39 +553,6 @@ func mergeWithBase(prefix, add *constraint.System, basePred map[constraint.Pred]
 		// Nothing novel: hand back the prefix itself so pointer-keyed
 		// caches (the accumulated-graph cache) keep working.
 		return prefix
-	}
-	return out
-}
-
-// subtractSystem removes conjuncts of b from a (and deduplicates the
-// result, as the Add* methods it replaced did). Set membership over the
-// comparable conjunct structs makes it linear in the two systems.
-func subtractSystem(a, b *constraint.System) *constraint.System {
-	out := &constraint.System{}
-	predB := make(map[constraint.Pred]bool, len(b.Preds))
-	for _, q := range b.Preds {
-		predB[q] = true
-	}
-	subB := make(map[constraint.Subset]bool, len(b.Subsets))
-	for _, q := range b.Subsets {
-		subB[q] = true
-	}
-	predSeen := map[constraint.Pred]bool{}
-	for _, p := range a.Preds {
-		if !predB[p] && !predSeen[p] {
-			predSeen[p] = true
-			out.Preds = append(out.Preds, p)
-		}
-	}
-	subSeen := map[constraint.Subset]bool{}
-	for _, c := range a.Subsets {
-		if dpl.Equal(c.L, c.R) {
-			continue
-		}
-		if !subB[c] && !subSeen[c] {
-			subSeen[c] = true
-			out.Subsets = append(out.Subsets, c)
-		}
 	}
 	return out
 }

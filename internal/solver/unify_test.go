@@ -111,14 +111,19 @@ func TestUnifyRejectsDifferentRegions(t *testing.T) {
 	}
 }
 
-// TestUnifyGraphCacheDebugKnob runs Algorithm 3 with
-// AUTOPART_DEBUG_GRAPHCACHE=1, under which every graph served by the
-// accumulated-graph cache is fingerprint-checked against a fresh
-// BuildGraph and a mismatch panics. A clean multi-loop run proves the
-// incremental extension path produces exactly the graphs a full rebuild
-// would.
-func TestUnifyGraphCacheDebugKnob(t *testing.T) {
-	t.Setenv("AUTOPART_DEBUG_GRAPHCACHE", "1")
+// Every solver test runs with the accumulated-graph check on, so each
+// graph the cache serves is fingerprint-checked against a fresh build.
+func init() { checkGraphCache = true }
+
+// TestUnifyGraphCacheCheck runs Algorithm 3 with checkGraphCache on,
+// under which every graph served by the accumulated-graph cache is
+// fingerprint-checked against a fresh BuildGraph and a mismatch panics.
+// A clean multi-loop run proves the incremental extension path produces
+// exactly the graphs a full rebuild would.
+func TestUnifyGraphCacheCheck(t *testing.T) {
+	if !checkGraphCache {
+		t.Fatal("checkGraphCache is off")
+	}
 	sysA := sysWith("A1", "A2", "g")
 	sysB := sysWith("B1", "B2", "g")
 	sysC := sysWith("C1", "C2", "h") // does not unify; exercises more rounds

@@ -16,7 +16,6 @@ package autopart
 import (
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"autopart/internal/constraint"
@@ -26,7 +25,6 @@ import (
 	"autopart/internal/ir"
 	"autopart/internal/lang"
 	"autopart/internal/optimize"
-	"autopart/internal/par"
 	"autopart/internal/pipeline"
 	"autopart/internal/region"
 	"autopart/internal/rewrite"
@@ -39,30 +37,13 @@ type Options struct {
 	DisableRelaxation bool
 	// DisablePrivateSubPartitions turns off the §5.2 optimization.
 	DisablePrivateSubPartitions bool
-	// ForceSequential switches the evaluation engine (partition
-	// operators, the scaling simulator) to sequential mode for
-	// debugging. The switch is process-wide, exactly like calling
-	// SequentialEvaluation(true) or setting AUTOPART_SEQUENTIAL=1 in the
-	// environment; parallel and sequential modes produce bit-identical
-	// partitions and figures.
-	ForceSequential bool
 	// Trace, when non-nil, receives one JSON line per compiler pass
-	// (name, index, wall time, artifact metrics). Setting AUTOPART_TRACE
-	// to a non-empty value other than "0" traces to stderr without code
-	// changes.
+	// (name, index, wall time, artifact metrics).
 	Trace io.Writer
 	// Observers receive pass lifecycle events in addition to any Trace
 	// writer; see pipeline.Observer.
 	Observers []pipeline.Observer
 }
-
-// SequentialEvaluation forces (or, with false, re-enables parallelism
-// for) the evaluation engine's worker pool, process-wide. Sequential
-// and parallel evaluation are differential-tested to produce identical
-// results; the knob exists to simplify debugging and profiling. The
-// AUTOPART_SEQUENTIAL environment variable provides the same switch
-// without code changes.
-func SequentialEvaluation(v bool) { par.SetSequential(v) }
 
 // Timing is the per-phase compile-time breakdown (Table 1's rows).
 type Timing struct {
@@ -113,9 +94,6 @@ func CompileSession(src string, opts Options) (*Compiled, *pipeline.Session, err
 }
 
 func compile(src string, opts Options) (*Compiled, *pipeline.Session, error) {
-	if opts.Trace == nil && traceEnvEnabled() {
-		opts.Trace = os.Stderr
-	}
 	// Hold an intern-table epoch for the duration of the compile so a
 	// bounded table (configured by a Service sharing this process) never
 	// reclaims mid-compile — expression and symbol ids stay coherent for
@@ -130,23 +108,11 @@ func compile(src string, opts Options) (*Compiled, *pipeline.Session, error) {
 	return runSession(s, opts)
 }
 
-// traceEnvEnabled reports whether AUTOPART_TRACE asks for stderr
-// tracing. Compile consults it per call; a Service reads it once at
-// construction.
-func traceEnvEnabled() bool {
-	v := os.Getenv("AUTOPART_TRACE")
-	return v != "" && v != "0"
-}
-
 // runSession executes the pass pipeline over a prepared session and
 // assembles the Compiled result. Both the one-shot Compile façade and
 // the pooled Service funnel through here, so results are identical
 // regardless of which entry point produced them.
 func runSession(s *pipeline.Session, opts Options) (*Compiled, *pipeline.Session, error) {
-	if opts.ForceSequential {
-		par.SetSequential(true)
-	}
-
 	timing := pipeline.NewTimingObserver()
 	obs := []pipeline.Observer{timing}
 	if opts.Trace != nil {

@@ -2,7 +2,6 @@ package autopart
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,8 +31,7 @@ type ServiceOptions struct {
 	// used key is evicted past the bound. Non-positive selects 64.
 	MaxIncrementalSessions int
 	// Base are the per-compile options applied when Compile is used;
-	// CompileWith overrides them per request. Base.Trace == nil consults
-	// AUTOPART_TRACE once, at construction time, not per compile.
+	// CompileWith overrides them per request.
 	Base Options
 }
 
@@ -79,20 +77,14 @@ type keyedSession struct {
 	tick uint64 // last-use order under Service.incrMu, for LRU eviction
 }
 
-// NewService constructs a compile service. The AUTOPART_TRACE
-// environment knob is resolved here, once: compiles through the service
-// never read the environment.
+// NewService constructs a compile service.
 func NewService(opts ServiceOptions) *Service {
 	conc := opts.MaxConcurrent
 	if conc <= 0 {
 		conc = runtime.GOMAXPROCS(0)
 	}
-	base := opts.Base
-	if base.Trace == nil && traceEnvEnabled() {
-		base.Trace = os.Stderr
-	}
 	sv := &Service{
-		base:  base,
+		base:  opts.Base,
 		cache: solver.NewMemoCache(opts.MemoCacheCap),
 		table: dpl.Default(),
 		sem:   make(chan struct{}, conc),
