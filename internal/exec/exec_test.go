@@ -1,6 +1,11 @@
 package exec_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -10,6 +15,8 @@ import (
 	"autopart/internal/apps/spmv"
 	"autopart/internal/apps/stencil"
 	"autopart/internal/exec"
+	"autopart/internal/ir"
+	"autopart/internal/region"
 	"autopart/internal/runtime"
 	"autopart/internal/sim"
 	"autopart/pkg/autopart"
@@ -262,6 +269,90 @@ func TestCommMatchesSim(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOutputDigests pins the values, not only the agreement: the
+// distributed run and RunSequentialReference share one shard
+// interpreter, so a change in what it computes would pass every
+// differential test above. The sha256 of each builtin's final region
+// data after 2 steps on 3 nodes, at cmd/run's -size small configs, must
+// stay exactly these.
+func TestOutputDigests(t *testing.T) {
+	golden := map[string]string{
+		"stencil":      "854eddb67c1f82898393c278c96454ca9c7d9aeb0c8bef37e21a14f50ca33153",
+		"circuit":      "1416620aa04fdec18aa441a010a6f1d28145450b5b1feb5e77609aef9df83ede",
+		"circuit-hint": "1416620aa04fdec18aa441a010a6f1d28145450b5b1feb5e77609aef9df83ede",
+		"spmv":         "9d4f84ac34e39be9e0b96e8f06e9cad7397f93cdc23ed3250fba0adf01c822d9",
+		"miniaero":     "a3ff442e277c7be6d44fb046350c1c77915898302c801ccf8a37ab21a7c1ff8a",
+		"pennant-h2":   "281551ab054a873bc357e475719d6db2dba8d9f7e1720023a6b305ff80537dfb",
+	}
+	small := circuit.Config{WiresPerCluster: 200, NodesPerCluster: 100, SharedFraction: 0.02, CrossFraction: 0.20}
+	cases := []appCase{
+		{"stencil", func(n int) (*exec.Program, error) {
+			return stencil.Executable(stencil.Config{Width: 128, RowsPerNode: 4}, compiled(t, "stencil", stencil.Source()), n)
+		}},
+		{"circuit", func(n int) (*exec.Program, error) {
+			return circuit.Executable(small, compiled(t, "circuit", circuit.Source), n, false)
+		}},
+		{"circuit-hint", func(n int) (*exec.Program, error) {
+			return circuit.Executable(small, compiled(t, "circuit-hint", circuit.HintSource), n, true)
+		}},
+		{"spmv", func(n int) (*exec.Program, error) {
+			return spmv.Executable(spmv.Config{RowsPerNode: 128, NnzPerRow: 8}, compiled(t, "spmv", spmv.Source), n)
+		}},
+		{"miniaero", func(n int) (*exec.Program, error) {
+			return miniaero.Executable(miniaero.Config{DX: 4, DY: 4, DZ: 4}, compiled(t, "miniaero", miniaero.Source()), n)
+		}},
+		{"pennant-h2", func(n int) (*exec.Program, error) {
+			return pennant.Executable(pennant.Config{W: 16, ZonesPerPiece: 128, Jitter: 16}, compiled(t, "pennant-h2", pennant.HintSource(2)), n, 2)
+		}},
+	}
+	const nodes, steps = 3, 2
+	for _, app := range cases {
+		prog, err := app.build(nodes)
+		if err != nil {
+			t.Fatalf("%s: build: %v", app.name, err)
+		}
+		res, err := exec.Run(prog, exec.Config{Nodes: nodes, Steps: steps})
+		if err != nil {
+			t.Fatalf("%s: run: %v", app.name, err)
+		}
+		if got := machineDigest(res.Machine); got != golden[app.name] {
+			t.Errorf("%s: final data sha256 %s, want %s", app.name, got, golden[app.name])
+		}
+	}
+}
+
+// machineDigest hashes every region's name, size and fields (name,
+// kind, little-endian values) in sorted order.
+func machineDigest(m *ir.Machine) string {
+	names := make([]string, 0, len(m.Regions))
+	for name := range m.Regions {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		r := m.Regions[name]
+		fmt.Fprintf(h, "%s %d\n", name, r.Size())
+		for _, f := range r.FieldNames() {
+			kind, _ := r.FieldKindOf(f)
+			fmt.Fprintf(h, "%s %s\n", f, kind)
+			var data any
+			switch kind {
+			case region.ScalarField:
+				data = r.Scalar(f)
+			case region.IndexField:
+				data = r.Index(f)
+			default:
+				data = r.Ranges(f)
+			}
+			if err := binary.Write(h, binary.LittleEndian, data); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func itoa(n int) string {

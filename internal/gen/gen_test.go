@@ -9,13 +9,15 @@ import (
 // coverage comes from widening the range in a commit, not from
 // randomizing it.
 
-// TestExecOracleSeeds differentially executes 200 Small-tier scenarios:
-// every accepted program must run bit-identically under the true
-// sequential interpreter, the sequential parallel-semantics reference,
-// and the distributed executor.
+// TestExecOracleSeeds differentially executes 1,000 Small-tier
+// scenarios: every accepted program must run bit-identically under the
+// true sequential interpreter, the sequential parallel-semantics
+// reference, and the distributed executor. The last two share
+// rewrite.RunShard, so this is the gate that holds the shard interpreter
+// against an independent one (ir.Machine.RunSequential).
 func TestExecOracleSeeds(t *testing.T) {
 	counts := map[string]int{}
-	for seed := int64(0); seed < 200; seed++ {
+	for seed := int64(0); seed < 1000; seed++ {
 		sc := Generate(seed, Small)
 		r := RunExecOracle(sc)
 		switch r.Verdict {

@@ -65,7 +65,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestUnionCacheSharedByRename asserts Rename reuses the lazily computed
-// union rather than recomputing it.
+// union and disjointness rather than recomputing them.
 func TestUnionCacheSharedByRename(t *testing.T) {
 	r := New("R", 128)
 	p := Equal("p", r, 4)
@@ -76,5 +76,8 @@ func TestUnionCacheSharedByRename(t *testing.T) {
 	}
 	if p.union == nil || renamed.union == nil || p.union != renamed.union {
 		t.Fatal("Rename should share the union cache")
+	}
+	if !p.IsDisjoint() || !renamed.union.disjoint {
+		t.Fatal("Rename should share the cached disjointness")
 	}
 }

@@ -17,14 +17,16 @@ type Partition struct {
 	name   string
 	parent *Region
 	subs   []geometry.IndexSet
-	// union lazily caches UnionAll; shared by Rename views (the
-	// subregions are immutable, so the union is too).
+	// union lazily caches UnionAll and IsDisjoint; shared by Rename
+	// views (the subregions are immutable, so both are too).
 	union *unionCache
 }
 
 type unionCache struct {
-	once sync.Once
-	set  geometry.IndexSet
+	once         sync.Once
+	set          geometry.IndexSet
+	disjointOnce sync.Once
+	disjoint     bool
 }
 
 func newPartition(name string, parent *Region, subs []geometry.IndexSet) *Partition {
@@ -61,9 +63,15 @@ func (p *Partition) Sub(i int) geometry.IndexSet { return p.subs[i] }
 func (p *Partition) Subs() []geometry.IndexSet { return p.subs }
 
 // IsDisjoint reports whether the subregions are pairwise disjoint
-// (the DISJ predicate), in one sorted sweep over all intervals.
+// (the DISJ predicate), in one sorted sweep over all intervals, computed
+// once and cached: the executor derives owner views (sim.OwnerView) from
+// the same partitions on every node at every launch.
 func (p *Partition) IsDisjoint() bool {
-	return geometry.DisjointAll(p.subs)
+	if p.union == nil {
+		return geometry.DisjointAll(p.subs)
+	}
+	p.union.disjointOnce.Do(func() { p.union.disjoint = geometry.DisjointAll(p.subs) })
+	return p.union.disjoint
 }
 
 // IsComplete reports whether the union of subregions covers the parent
@@ -142,7 +150,7 @@ func SplitByOwner(s geometry.IndexSet, owner *Partition) []OwnedPiece {
 }
 
 // Rename returns a view of the partition under a different name, sharing
-// subregion storage (and the cached union).
+// subregion storage (and the cached union and disjointness).
 func (p *Partition) Rename(name string) *Partition {
 	return &Partition{name: name, parent: p.parent, subs: p.subs, union: p.union}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sort"
 
+	"autopart/internal/geometry"
 	"autopart/internal/ir"
+	"autopart/internal/lang"
 	"autopart/internal/region"
 )
 
@@ -35,38 +37,6 @@ func (ex *Executor) Bind(sym string, p *region.Partition) *Executor {
 // FieldKey identifies a region field.
 type FieldKey struct{ Region, Field string }
 
-// overlay is a task's private view: reads hit the task's writes first,
-// then the launch snapshot; writes stay private until flush.
-type overlay struct {
-	scalars map[FieldKey]map[int64]float64
-	indexes map[FieldKey]map[int64]int64
-}
-
-func newOverlay() *overlay {
-	return &overlay{
-		scalars: map[FieldKey]map[int64]float64{},
-		indexes: map[FieldKey]map[int64]int64{},
-	}
-}
-
-func (o *overlay) writeScalar(k FieldKey, idx int64, v float64) {
-	m := o.scalars[k]
-	if m == nil {
-		m = map[int64]float64{}
-		o.scalars[k] = m
-	}
-	m[idx] = v
-}
-
-func (o *overlay) writeIndex(k FieldKey, idx int64, v int64) {
-	m := o.indexes[k]
-	if m == nil {
-		m = map[int64]int64{}
-		o.indexes[k] = m
-	}
-	m[idx] = v
-}
-
 // ReduceBuffer accumulates one task's uncentered reduction contributions
 // for one field, folded from the op's identity in iteration order.
 type ReduceBuffer struct {
@@ -85,42 +55,6 @@ type ShardResult struct {
 	Scalars    map[FieldKey]map[int64]float64
 	Indexes    map[FieldKey]map[int64]int64
 	Reductions map[FieldKey]*ReduceBuffer
-}
-
-// RunShard executes one color's task of pl. Reads see m's current region
-// data plus the task's own earlier writes; m is not mutated, so several
-// shards may run against the same machine (a launch-entry snapshot, or a
-// distributed node's local arrays made current by a ghost exchange).
-func RunShard(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoop, color int) (*ShardResult, error) {
-	iter, ok := parts[pl.IterSym]
-	if !ok {
-		return nil, fmt.Errorf("launch %s: unbound iteration partition %q", pl, pl.IterSym)
-	}
-	task := &taskExec{
-		m:       m,
-		parts:   parts,
-		pl:      pl,
-		color:   color,
-		overlay: newOverlay(),
-		buffers: map[FieldKey]*ReduceBuffer{},
-	}
-	var taskErr error
-	iter.Sub(color).Each(func(k int64) bool {
-		env := ir.Env{pl.Loop.Var: ir.IndexValue(k)}
-		if err := task.runBody(pl.Loop.Stmts, env); err != nil {
-			taskErr = fmt.Errorf("task %d, iteration %d: %w", color, k, err)
-			return false
-		}
-		return true
-	})
-	if taskErr != nil {
-		return nil, taskErr
-	}
-	return &ShardResult{
-		Scalars:    task.overlay.scalars,
-		Indexes:    task.overlay.indexes,
-		Reductions: task.buffers,
-	}, nil
 }
 
 // RunLaunch executes one parallel loop over all colors of its iteration
@@ -241,309 +175,523 @@ func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) 
 	}
 }
 
-// taskExec is the per-task interpreter.
-type taskExec struct {
-	m       *ir.Machine
-	parts   map[string]*region.Partition
-	pl      *ParallelLoop
-	color   int
-	overlay *overlay
-	buffers map[FieldKey]*ReduceBuffer
-}
-
-// contains checks the containment of an access index in the task's
-// subregion of the access partition.
-func (t *taskExec) contains(info *AccessInfo, idx int64) error {
-	p, ok := t.parts[info.Sym]
+// RunShard executes one color's task of pl. Reads see m's current region
+// data plus the task's own earlier writes; m is not mutated, so several
+// shards may run against the same machine (a launch-entry snapshot, or a
+// distributed node's local arrays made current by a ghost exchange).
+//
+// The body is resolved once per call (names to frame slots, fields to
+// backing slices, accesses to this color's subregions): a malformed body
+// fails before any iteration runs, value-dependent errors where they occur.
+func RunShard(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoop, color int) (*ShardResult, error) {
+	iter, ok := parts[pl.IterSym]
 	if !ok {
-		return fmt.Errorf("unbound partition %q", info.Sym)
+		return nil, fmt.Errorf("launch %s: unbound iteration partition %q", pl, pl.IterSym)
 	}
-	if !p.Sub(t.color).Contains(idx) {
-		return fmt.Errorf("access %s[%d].%s escapes subregion %s[%d] — unsound partitioning",
-			info.Region, idx, info.Field, info.Sym, t.color)
+	s := &shard{m: m, parts: parts, pl: pl, color: color, slots: map[string]int{}, fields: map[FieldKey]*field{},
+		res: &ShardResult{
+			Scalars:    map[FieldKey]map[int64]float64{},
+			Indexes:    map[FieldKey]map[int64]int64{},
+			Reductions: map[FieldKey]*ReduceBuffer{},
+		}}
+	loopVar := s.slot(pl.Loop.Var)
+	body, err := s.resolve(pl.Loop.Stmts)
+	if err != nil {
+		return nil, fmt.Errorf("task %d: %w", color, err)
 	}
-	return nil
-}
-
-func (t *taskExec) runBody(stmts []ir.Stmt, env ir.Env) error {
-	for _, s := range stmts {
-		if err := t.step(s, env); err != nil {
-			return err
+	s.vals, s.bound = make([]ir.Value, len(s.names)), make([]bool, len(s.names))
+	var taskErr error
+	iter.Sub(color).Each(func(k int64) bool {
+		clear(s.bound)
+		s.set(loopVar, ir.IndexValue(k))
+		if err := s.run(body); err != nil {
+			taskErr = fmt.Errorf("task %d, iteration %d: %w", color, k, err)
+			return false
 		}
+		return true
+	})
+	if taskErr != nil {
+		return nil, taskErr
 	}
-	return nil
+	return s.res, nil
 }
 
-func (t *taskExec) readScalar(k FieldKey, idx int64) float64 {
-	if m, ok := t.overlay.scalars[k]; ok {
-		if v, ok := m[idx]; ok {
+// shard is one RunShard call: what the body is resolved against, the
+// variable frame (one slot per name, cleared each iteration) and the
+// result the task's writes build.
+type shard struct {
+	m      *ir.Machine
+	parts  map[string]*region.Partition
+	pl     *ParallelLoop
+	color  int
+	slots  map[string]int
+	names  []string // slot → name
+	fields map[FieldKey]*field
+	vals   []ir.Value
+	bound  []bool
+	res    *ShardResult
+}
+
+func (s *shard) slot(name string) int {
+	i, ok := s.slots[name]
+	if !ok {
+		i = len(s.names)
+		s.slots[name] = i
+		s.names = append(s.names, name)
+	}
+	return i
+}
+
+func (s *shard) set(slot int, v ir.Value) {
+	s.vals[slot] = v
+	s.bound[slot] = true
+}
+
+func (s *shard) index(slot int) (int64, error) {
+	v := s.vals[slot]
+	switch {
+	case !s.bound[slot]:
+		return 0, fmt.Errorf("unbound variable %q", s.names[slot])
+	case !v.IsIndex:
+		return 0, fmt.Errorf("variable %q is not an index", s.names[slot])
+	case !v.Valid:
+		return 0, fmt.Errorf("variable %q holds an invalid index", s.names[slot])
+	}
+	return v.I, nil
+}
+
+// field is one region field the body names, shared by every statement
+// naming it: its backing slice and the task's private writes and
+// reduction buffer, created on first use and entered in the result.
+type field struct {
+	key     FieldKey
+	kind    region.FieldKind
+	scalars []float64
+	indexes []int64
+	ranges  []geometry.Interval
+	wScalar map[int64]float64
+	wIndex  map[int64]int64
+	buf     *ReduceBuffer
+}
+
+func (s *shard) field(st ir.Stmt, regionName, name string) (*field, error) {
+	k := FieldKey{regionName, name}
+	if f, ok := s.fields[k]; ok {
+		return f, nil
+	}
+	reg := s.m.Regions[regionName]
+	if reg == nil {
+		return nil, fmt.Errorf("%s: unknown region %s", st, regionName)
+	}
+	kind, ok := reg.FieldKindOf(name)
+	if !ok {
+		return nil, fmt.Errorf("%s: region %s has no field %s", st, regionName, name)
+	}
+	f := &field{key: k, kind: kind}
+	switch kind {
+	case region.ScalarField:
+		f.scalars = reg.Scalar(name)
+	case region.IndexField:
+		f.indexes = reg.Index(name)
+	default:
+		f.ranges = reg.Ranges(name)
+	}
+	s.fields[k] = f
+	return f, nil
+}
+
+// Reads hit the task's own writes first, then the machine's data.
+func (f *field) scalar(idx int64) float64 {
+	if f.wScalar != nil {
+		if v, ok := f.wScalar[idx]; ok {
 			return v
 		}
 	}
-	return t.m.Regions[k.Region].Scalar(k.Field)[idx]
+	return f.scalars[idx]
 }
 
-func (t *taskExec) readIndex(k FieldKey, idx int64) int64 {
-	if m, ok := t.overlay.indexes[k]; ok {
-		if v, ok := m[idx]; ok {
-			return v
+func (s *shard) writeScalar(f *field, idx int64, v float64) {
+	if f.wScalar == nil {
+		f.wScalar = map[int64]float64{}
+		s.res.Scalars[f.key] = f.wScalar
+	}
+	f.wScalar[idx] = v
+}
+
+// access is a statement's execution plan with this color's subregion of
+// its partition.
+type access struct {
+	*AccessInfo
+	sub geometry.IndexSet
+}
+
+func (s *shard) access(st ir.Stmt) (access, error) {
+	info := s.pl.Access[st]
+	if info == nil {
+		return access{}, fmt.Errorf("%s: no access plan", st)
+	}
+	p, ok := s.parts[info.Sym]
+	if !ok {
+		return access{}, fmt.Errorf("%s: unbound partition %q", st, info.Sym)
+	}
+	return access{info, p.Sub(s.color)}, nil
+}
+
+// check is the containment check of an access index against the task's
+// subregion.
+func (s *shard) check(a *access, idx int64) error {
+	if a.sub.Contains(idx) {
+		return nil
+	}
+	return fmt.Errorf("access %s[%d].%s escapes subregion %s[%d] — unsound partitioning",
+		a.Region, idx, a.Field, a.Sym, s.color)
+}
+
+// step is one resolved statement; which fields are set depends on the
+// type of src.
+type step struct {
+	src   ir.Stmt
+	acc   access // Load, Store, Inner
+	f     *field // Load, Store; Inner's range field
+	idx   int    // the slot of Idx, Arg or Src
+	dst   int    // the slot of Var
+	x, y  *expr  // Rhs, or IfCmp's L and R
+	op    string // Store, with the op's identity in ident
+	ident float64
+	fn    geometry.IndexMap // Apply
+	in    func(int64) bool  // IfIn: membership in Space, nil if unknown
+	body  []step            // Inner's body, or the Then branch
+	els   []step
+}
+
+func (s *shard) resolve(stmts []ir.Stmt) ([]step, error) {
+	out := make([]step, len(stmts))
+	for i, st := range stmts {
+		if err := s.resolveStep(&out[i], st); err != nil {
+			return nil, err
 		}
 	}
-	return t.m.Regions[k.Region].Index(k.Field)[idx]
+	return out, nil
 }
 
-func (t *taskExec) step(s ir.Stmt, env ir.Env) error {
-	switch st := s.(type) {
+func (s *shard) resolveStep(n *step, src ir.Stmt) (err error) {
+	n.src = src
+	var then, els []ir.Stmt
+	switch st := src.(type) {
 	case *ir.Load:
-		info := t.pl.Access[s]
-		if info == nil {
-			return fmt.Errorf("%s: no access plan", st)
-		}
-		idxVal, err := indexOf(env, st.Idx)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		if err := t.contains(info, idxVal); err != nil {
+		n.idx, n.dst = s.slot(st.Idx), s.slot(st.Var)
+		if n.f, err = s.field(st, st.Region, st.Field); err != nil {
 			return err
 		}
-		k := FieldKey{st.Region, st.Field}
-		r := t.m.Regions[st.Region]
-		kind, _ := r.FieldKindOf(st.Field)
-		switch kind {
-		case region.ScalarField:
-			env[st.Var] = ir.ScalarValue(t.readScalar(k, idxVal))
-		case region.IndexField:
-			v := t.readIndex(k, idxVal)
-			if v < 0 {
-				env[st.Var] = ir.InvalidIndex()
-			} else {
-				env[st.Var] = ir.IndexValue(v)
-			}
-		default:
+		if n.f.kind == region.RangeField {
 			return fmt.Errorf("%s: cannot load range field", st)
 		}
-		return nil
+		n.acc, err = s.access(st)
+	case *ir.Store:
+		n.idx, n.x, n.op = s.slot(st.Idx), s.expr(st.Rhs), string(st.Op)
+		if n.f, err = s.field(st, st.Region, st.Field); err != nil {
+			return err
+		}
+		if n.acc, err = s.access(st); err != nil {
+			return err
+		}
+		if n.f.kind == region.RangeField || (n.acc.Guarded || n.acc.Buffered) && n.f.kind != region.ScalarField {
+			return fmt.Errorf("%s: cannot store to %s field %s", st, n.f.kind, st.Field)
+		}
+		switch st.Op {
+		case lang.OpSet:
+			if n.acc.Buffered {
+				return fmt.Errorf("%s: reduction operator %q has no identity", st, st.Op)
+			}
+		case lang.OpAdd, lang.OpMul, lang.OpMax, lang.OpMin:
+			n.ident = ir.ReduceIdentity(n.op)
+		default:
+			return fmt.Errorf("%s: unknown reduction operator %q", st, st.Op)
+		}
+	case *ir.LetScalar:
+		n.dst, n.x = s.slot(st.Var), s.expr(st.Rhs)
+	case *ir.Apply:
+		n.idx, n.dst, n.fn = s.slot(st.Arg), s.slot(st.Var), s.m.Funcs[st.Func]
+	case *ir.Alias:
+		n.idx, n.dst = s.slot(st.Src), s.slot(st.Var)
+	case *ir.Inner:
+		n.idx, n.dst = s.slot(st.Idx), s.slot(st.Var)
+		if n.f, err = s.field(st, st.RangeRegion, st.RangeField); err != nil {
+			return err
+		}
+		if n.f.kind != region.RangeField {
+			return fmt.Errorf("%s: %s is a %s field, not a range field", st, st.RangeField, n.f.kind)
+		}
+		n.acc, err = s.access(st)
+		then = st.Body
+	case *ir.IfIn:
+		n.idx = s.slot(st.Idx)
+		if reg, ok := s.m.Regions[st.Space]; ok {
+			size := reg.Size()
+			n.in = func(i int64) bool { return i >= 0 && i < size }
+		} else if p, ok := s.m.Partitions[st.Space]; ok {
+			n.in = p.UnionAll().Contains
+		}
+		then, els = st.Then, st.Else
+	case *ir.IfCmp:
+		n.x, n.y = s.expr(st.L), s.expr(st.R)
+		then, els = st.Then, st.Else
+	default:
+		return fmt.Errorf("unknown statement %T", src)
+	}
+	if err == nil {
+		n.body, err = s.resolve(then)
+	}
+	if err == nil {
+		n.els, err = s.resolve(els)
+	}
+	return err
+}
+
+func (s *shard) run(body []step) error {
+	for i := range body {
+		if err := s.step(&body[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *shard) step(n *step) error {
+	switch st := n.src.(type) {
+	case *ir.Load:
+		k, err := s.index(n.idx)
+		if err != nil {
+			return fmt.Errorf("%s: %w", st, err)
+		}
+		if err := s.check(&n.acc, k); err != nil {
+			return err
+		}
+		if n.f.kind == region.ScalarField {
+			s.set(n.dst, ir.ScalarValue(n.f.scalar(k)))
+			return nil
+		}
+		v, ok := n.f.wIndex[k]
+		if !ok {
+			v = n.f.indexes[k]
+		}
+		if v < 0 {
+			s.set(n.dst, ir.InvalidIndex())
+		} else {
+			s.set(n.dst, ir.IndexValue(v))
+		}
 
 	case *ir.Store:
-		info := t.pl.Access[s]
-		if info == nil {
-			return fmt.Errorf("%s: no access plan", st)
-		}
-		idxVal, err := indexOf(env, st.Idx)
+		k, err := s.index(n.idx)
 		if err != nil {
 			return fmt.Errorf("%s: %w", st, err)
 		}
-		rhs, err := t.scalar(st.Rhs, env)
+		rhs, err := s.eval(n.x)
 		if err != nil {
 			return fmt.Errorf("%s: %w", st, err)
 		}
-		k := FieldKey{st.Region, st.Field}
-
-		if info.Guarded {
+		f := n.f
+		if n.acc.Guarded {
 			// §5.1: apply only when this task owns the target; the
 			// disjoint complete target partition guarantees exactly-once
 			// across the launch.
-			p, ok := t.parts[info.Sym]
-			if !ok {
-				return fmt.Errorf("%s: unbound partition %q", st, info.Sym)
+			if n.acc.sub.Contains(k) {
+				s.writeScalar(f, k, ir.ApplyReduce(n.op, f.scalar(k), rhs))
 			}
-			if !p.Sub(t.color).Contains(idxVal) {
-				return nil
-			}
-			old := t.readScalar(k, idxVal)
-			t.overlay.writeScalar(k, idxVal, ir.ApplyReduce(string(st.Op), old, rhs))
 			return nil
 		}
-
-		if err := t.contains(info, idxVal); err != nil {
+		if err := s.check(&n.acc, k); err != nil {
 			return err
 		}
-
-		if info.Buffered {
-			buf := t.buffers[k]
-			if buf == nil {
-				buf = &ReduceBuffer{Op: string(st.Op), Values: map[int64]float64{}}
-				t.buffers[k] = buf
+		if n.acc.Buffered {
+			if f.buf == nil {
+				f.buf = &ReduceBuffer{Op: n.op, Values: map[int64]float64{}}
+				s.res.Reductions[f.key] = f.buf
 			}
-			old, seen := buf.Values[idxVal]
+			old, seen := f.buf.Values[k]
 			if !seen {
-				old = ir.ReduceIdentity(string(st.Op))
+				old = n.ident
 			}
-			buf.Values[idxVal] = ir.ApplyReduce(string(st.Op), old, rhs)
+			f.buf.Values[k] = ir.ApplyReduce(n.op, old, rhs)
 			return nil
 		}
-
 		// Plain store or centered reduction: task-private read-modify-
 		// write. Pointer fields take the raw value.
-		r := t.m.Regions[st.Region]
-		if kind, _ := r.FieldKindOf(st.Field); kind == region.IndexField {
-			t.overlay.writeIndex(k, idxVal, int64(rhs))
+		if f.kind == region.IndexField {
+			if f.wIndex == nil {
+				f.wIndex = map[int64]int64{}
+				s.res.Indexes[f.key] = f.wIndex
+			}
+			f.wIndex[k] = int64(rhs)
 			return nil
 		}
-		old := t.readScalar(k, idxVal)
-		t.overlay.writeScalar(k, idxVal, ir.ApplyReduce(string(st.Op), old, rhs))
+		s.writeScalar(f, k, ir.ApplyReduce(n.op, f.scalar(k), rhs))
 		return nil
 
 	case *ir.LetScalar:
-		v, err := t.scalar(st.Rhs, env)
+		v, err := s.eval(n.x)
 		if err != nil {
 			return fmt.Errorf("%s: %w", st, err)
 		}
-		env[st.Var] = ir.ScalarValue(v)
-		return nil
+		s.set(n.dst, ir.ScalarValue(v))
 
 	case *ir.Apply:
-		f, ok := t.m.Funcs[st.Func]
-		if !ok {
+		if n.fn == nil {
 			return fmt.Errorf("%s: unknown index function", st)
 		}
-		arg, err := indexOf(env, st.Arg)
+		arg, err := s.index(n.idx)
 		if err != nil {
 			return fmt.Errorf("%s: %w", st, err)
 		}
-		if v, ok := f.Apply(arg); ok {
-			env[st.Var] = ir.IndexValue(v)
+		if v, ok := n.fn.Apply(arg); ok {
+			s.set(n.dst, ir.IndexValue(v))
 		} else {
-			env[st.Var] = ir.InvalidIndex()
+			s.set(n.dst, ir.InvalidIndex())
 		}
-		return nil
 
 	case *ir.Alias:
-		v, ok := env[st.Src]
-		if !ok {
+		if !s.bound[n.idx] {
 			return fmt.Errorf("%s: unbound source", st)
 		}
-		env[st.Var] = v
-		return nil
+		s.set(n.dst, s.vals[n.idx])
 
 	case *ir.Inner:
-		info := t.pl.Access[s]
-		if info == nil {
-			return fmt.Errorf("%s: no access plan", st)
-		}
-		idxVal, err := indexOf(env, st.Idx)
+		k, err := s.index(n.idx)
 		if err != nil {
 			return fmt.Errorf("%s: %w", st, err)
 		}
-		if err := t.contains(info, idxVal); err != nil {
+		if err := s.check(&n.acc, k); err != nil {
 			return err
 		}
-		iv := t.m.Regions[st.RangeRegion].Ranges(st.RangeField)[idxVal]
+		iv := n.f.ranges[k]
 		for j := iv.Lo; j < iv.Hi; j++ {
-			env[st.Var] = ir.IndexValue(j)
-			if err := t.runBody(st.Body, env); err != nil {
+			s.set(n.dst, ir.IndexValue(j))
+			if err := s.run(n.body); err != nil {
 				return err
 			}
 		}
-		return nil
 
 	case *ir.IfIn:
-		v, ok := env[st.Idx]
-		if !ok {
+		if !s.bound[n.idx] {
 			return fmt.Errorf("%s: unbound index", st)
 		}
+		v := s.vals[n.idx]
 		in := false
 		if v.Valid {
-			if r, isRegion := t.m.Regions[st.Space]; isRegion {
-				in = v.I >= 0 && v.I < r.Size()
-			} else if p, isPart := t.m.Partitions[st.Space]; isPart {
-				in = p.UnionAll().Contains(v.I)
-			} else {
+			if n.in == nil {
 				return fmt.Errorf("%s: unknown space", st)
 			}
+			in = n.in(v.I)
 		}
 		if in {
-			return t.runBody(st.Then, env)
+			return s.run(n.body)
 		}
-		return t.runBody(st.Else, env)
+		return s.run(n.els)
 
 	case *ir.IfCmp:
-		l, err := t.scalar(st.L, env)
+		l, err := s.eval(n.x)
 		if err != nil {
 			return err
 		}
-		r, err := t.scalar(st.R, env)
+		r, err := s.eval(n.y)
 		if err != nil {
 			return err
 		}
-		var cond bool
-		switch st.Op {
-		case "==":
-			cond = l == r
-		case "!=":
-			cond = l != r
-		default:
+		if st.Op != "==" && st.Op != "!=" {
 			return fmt.Errorf("%s: unknown comparison", st)
 		}
-		if cond {
-			return t.runBody(st.Then, env)
+		if (l == r) == (st.Op == "==") {
+			return s.run(n.body)
 		}
-		return t.runBody(st.Else, env)
-
-	default:
-		return fmt.Errorf("unknown statement %T", s)
+		return s.run(n.els)
 	}
+	return nil
 }
 
-func (t *taskExec) scalar(e ir.ScalarExpr, env ir.Env) (float64, error) {
+// expr is a resolved scalar expression. op is a BinExpr operator's byte
+// ('+', '-', '*', '/') or one of the kinds below.
+type expr struct {
+	op   byte
+	c    float64
+	slot int
+	name string // variable or function name, unknown operator or type
+	l, r *expr
+	args []*expr
+}
+
+const (
+	exprConst byte = iota
+	exprVar
+	exprCall
+	exprBadOp   // a BinExpr whose operator name holds
+	exprUnknown // an expression of the type name holds
+)
+
+func (s *shard) expr(e ir.ScalarExpr) *expr {
 	switch x := e.(type) {
 	case ir.Const:
-		return x.V, nil
+		return &expr{op: exprConst, c: x.V}
 	case ir.VarExpr:
-		v, ok := env[x.Name]
-		if !ok {
-			return 0, fmt.Errorf("unbound variable %q", x.Name)
-		}
-		return v.AsScalar(), nil
+		return &expr{op: exprVar, slot: s.slot(x.Name), name: x.Name}
 	case ir.CallExpr:
-		args := make([]float64, len(x.Args))
+		out := &expr{op: exprCall, name: x.Func, args: make([]*expr, len(x.Args))}
 		for i, a := range x.Args {
-			v, err := t.scalar(a, env)
+			out.args[i] = s.expr(a)
+		}
+		return out
+	case ir.BinExpr:
+		out := &expr{op: exprBadOp, name: x.Op, l: s.expr(x.L), r: s.expr(x.R)}
+		switch x.Op {
+		case "+", "-", "*", "/":
+			out.op = x.Op[0]
+		}
+		return out
+	}
+	return &expr{op: exprUnknown, name: fmt.Sprintf("%T", e)}
+}
+
+func (s *shard) eval(e *expr) (float64, error) {
+	switch e.op {
+	case exprConst:
+		return e.c, nil
+	case exprVar:
+		if !s.bound[e.slot] {
+			return 0, fmt.Errorf("unbound variable %q", e.name)
+		}
+		return s.vals[e.slot].AsScalar(), nil
+	case exprCall:
+		args := make([]float64, 0, 8) // on the stack unless a call has more
+		for _, a := range e.args {
+			v, err := s.eval(a)
 			if err != nil {
 				return 0, err
 			}
-			args[i] = v
+			args = append(args, v)
 		}
-		return ir.OpaqueFn(x.Func, args), nil
-	case ir.BinExpr:
-		l, err := t.scalar(x.L, env)
-		if err != nil {
-			return 0, err
+		return ir.OpaqueFn(e.name, args), nil
+	case exprUnknown:
+		return 0, fmt.Errorf("unknown scalar expression %s", e.name)
+	}
+	l, err := s.eval(e.l)
+	if err != nil {
+		return 0, err
+	}
+	r, err := s.eval(e.r)
+	if err != nil {
+		return 0, err
+	}
+	switch e.op {
+	case '+':
+		return l + r, nil
+	case '-':
+		return l - r, nil
+	case '*':
+		return l * r, nil
+	case '/':
+		if r == 0 {
+			return 0, nil
 		}
-		r, err := t.scalar(x.R, env)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Op {
-		case "+":
-			return l + r, nil
-		case "-":
-			return l - r, nil
-		case "*":
-			return l * r, nil
-		case "/":
-			if r == 0 {
-				return 0, nil
-			}
-			return l / r, nil
-		default:
-			return 0, fmt.Errorf("unknown operator %q", x.Op)
-		}
-	default:
-		return 0, fmt.Errorf("unknown scalar expression %T", e)
+		return l / r, nil
 	}
-}
-
-func indexOf(env ir.Env, name string) (int64, error) {
-	v, ok := env[name]
-	if !ok {
-		return 0, fmt.Errorf("unbound variable %q", name)
-	}
-	if !v.IsIndex {
-		return 0, fmt.Errorf("variable %q is not an index", name)
-	}
-	if !v.Valid {
-		return 0, fmt.Errorf("variable %q holds an invalid index", name)
-	}
-	return v.I, nil
+	return 0, fmt.Errorf("unknown operator %q", e.name)
 }

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -174,6 +175,83 @@ func TestExecutorUnboundPartitions(t *testing.T) {
 	ex := NewExecutor(m)
 	if err := ex.RunLaunch(pl); err == nil || !strings.Contains(err.Error(), "unbound iteration partition") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestExecutorMalformedLoops runs reduceSrc's launch against machines
+// and plans it does not fit, as a decoded program blob can deliver
+// them. Each must fail with an error naming the offending statement, not
+// panic.
+func TestExecutorMalformedLoops(t *testing.T) {
+	isStore := func(s ir.Stmt) bool { _, ok := s.(*ir.Store); return ok }
+	isFluxLoad := func(s ir.Stmt) bool { l, ok := s.(*ir.Load); return ok && l.Field == "flux" }
+	cases := []struct {
+		name string
+		edit func(m *ir.Machine, pl *ParallelLoop)
+		stmt func(ir.Stmt) bool // the statement the error must name
+		want string
+	}{
+		{"missing region", func(m *ir.Machine, _ *ParallelLoop) {
+			delete(m.Regions, "Cells")
+		}, isStore, "unknown region Cells"},
+		{"missing field", func(m *ir.Machine, _ *ParallelLoop) {
+			faces := region.New("Faces", 4)
+			faces.AddIndexField("c1")
+			m.AddRegion(faces)
+		}, isFluxLoad, "region Faces has no field flux"},
+		{"wrong field kind", func(m *ir.Machine, _ *ParallelLoop) {
+			cells := region.New("Cells", 2)
+			cells.AddIndexField("res")
+			m.AddRegion(cells)
+		}, isStore, "cannot store to index field res"},
+		{"unknown store op", func(_ *ir.Machine, pl *ParallelLoop) {
+			for _, s := range pl.Loop.Stmts {
+				if st, ok := s.(*ir.Store); ok {
+					st.Op = "%="
+				}
+			}
+		}, isStore, `unknown reduction operator "%="`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plans, sol, priv := compile(t, reduceSrc, false)
+			pl := Build(plans, sol, priv)[0]
+			faces := region.New("Faces", 4)
+			faces.AddIndexField("c1")
+			faces.AddScalarField("flux")
+			copy(faces.Index("c1"), []int64{0, 0, 1, 1})
+			cells := region.New("Cells", 2)
+			cells.AddScalarField("res")
+			m := ir.NewMachine().AddRegion(faces).AddRegion(cells)
+			ex := NewExecutor(m)
+			for _, sym := range pl.Symbols() {
+				parent := faces
+				for _, info := range pl.Access {
+					if info.Sym == sym && info.Region == "Cells" {
+						parent = cells
+					}
+				}
+				ex.Bind(sym, region.NewPartition(sym, parent, []geometry.IndexSet{parent.Space()}))
+			}
+			tc.edit(m, pl)
+			var stmt ir.Stmt
+			for _, s := range pl.Loop.Stmts {
+				if tc.stmt(s) {
+					stmt = s
+				}
+			}
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				return ex.RunLaunch(pl)
+			}()
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), stmt.String()) {
+				t.Fatalf("err = %v, want an error naming %q with %q", err, stmt, tc.want)
+			}
+		})
 	}
 }
 
