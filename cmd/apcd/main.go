@@ -35,11 +35,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -93,72 +91,15 @@ type server struct {
 	order      []string // insertion order, for eviction and listing
 	nextID     int
 	maxResults int
-
-	viewHits   atomic.Uint64
-	viewMisses atomic.Uint64
 }
 
 // storedResult is one retained compile: the query facade's input plus
-// summary fields and a cache of rendered query views. The cache lives
-// on the result, so evicting the result invalidates every cached view
-// with it; compiled artifacts are immutable, so a cached rendering
-// never goes stale while the result is retained.
+// summary fields.
 type storedResult struct {
 	ID      string
 	Key     string // incremental recompile key, "" for one-shot compiles
 	View    autopart.ResultView
 	Elapsed time.Duration
-
-	viewMu    sync.Mutex
-	viewCache map[string]*autopart.QueryResult
-}
-
-// maxCachedViews bounds the per-result view cache; an unlikely flood of
-// distinct queries resets the cache rather than growing it.
-const maxCachedViews = 64
-
-// cachedQuery runs a query against the result, serving an identical
-// earlier query's rendering from cache. Returns whether it was a hit.
-func (res *storedResult) cachedQuery(q autopart.Query) (*autopart.QueryResult, bool, error) {
-	key := viewCacheKey(q)
-	res.viewMu.Lock()
-	if out, ok := res.viewCache[key]; ok {
-		res.viewMu.Unlock()
-		return out, true, nil
-	}
-	res.viewMu.Unlock()
-	out, err := autopart.RunQuery(res.View, q)
-	if err != nil {
-		return nil, false, err
-	}
-	res.viewMu.Lock()
-	if len(res.viewCache) >= maxCachedViews {
-		res.viewCache = nil
-	}
-	if res.viewCache == nil {
-		res.viewCache = map[string]*autopart.QueryResult{}
-	}
-	res.viewCache[key] = out
-	res.viewMu.Unlock()
-	return out, false, nil
-}
-
-// viewCacheKey canonicalizes a query's parameters: filters are order-
-// insensitive (sorted here), everything else is significant.
-func viewCacheKey(q autopart.Query) string {
-	var b strings.Builder
-	b.WriteString(q.View)
-	b.WriteByte(0)
-	b.WriteString(strings.Join(q.Fields, ","))
-	b.WriteByte(0)
-	filters := make([]string, 0, len(q.Filter))
-	for k, v := range q.Filter {
-		filters = append(filters, k+"="+v)
-	}
-	sort.Strings(filters)
-	b.WriteString(strings.Join(filters, "&"))
-	fmt.Fprintf(&b, "\x00%d\x00%d", q.Limit, q.Offset)
-	return b.String()
 }
 
 func newServer(sv *autopart.Service, maxResults int) *server {
@@ -356,22 +297,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	out, hit, err := res.cachedQuery(q)
+	out, err := autopart.RunQuery(res.View, q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if hit {
-		s.viewHits.Add(1)
-	} else {
-		s.viewMisses.Add(1)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.sv.Stats()
-	hits, misses := s.viewHits.Load(), s.viewMisses.Load()
 	s.mu.Lock()
 	retained := len(s.order)
 	s.mu.Unlock()
@@ -401,21 +336,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"dirty_loops": st.IncrementalDirtyLoops,
 			"sessions":    st.IncrementalSessions,
 		},
-		"view_cache": map[string]any{
-			"hits":     hits,
-			"misses":   misses,
-			"hit_rate": viewHitRate(hits, misses),
-		},
 		"retained_results": retained,
 	})
-}
-
-// viewHitRate is hits/(hits+misses), 0 when no queries ran.
-func viewHitRate(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
 }
 
 func intParam(v string) (int, error) {

@@ -267,31 +267,32 @@ func TestIncrementalKeyRouting(t *testing.T) {
 	}
 }
 
-// TestViewCache checks that identical query parameters are answered
-// from the per-result view cache and that the hit counters surface in
-// /v1/stats.
-func TestViewCache(t *testing.T) {
+// TestFilterValueWithAmpersand queries one result twice: with the two
+// filters expr=equal(Y) and symbol=P1 (one row), then with the single
+// filter expr="equal(Y)&symbol=P1" (no row). Joined with an unescaped
+// '&', both filter sets read the same, so the second answer must come
+// from its own parameters, not from anything keyed on that string.
+func TestFilterValueWithAmpersand(t *testing.T) {
 	srv := newTestServer(t)
 
 	code, res := postCompile(t, srv.URL, `{"builtin": "spmv"}`)
 	if code != http.StatusOK {
 		t.Fatalf("compile: status %d: %v", code, res)
 	}
-	url := fmt.Sprintf("%s/v1/results/%s/program?fields=symbol,expr&limit=3", srv.URL, res["id"])
-	_, first := getJSON(t, url)
-	_, second := getJSON(t, url)
-	if fmt.Sprint(first) != fmt.Sprint(second) {
-		t.Fatalf("cached query differs from fresh query:\n%v\n%v", first, second)
-	}
-	// A different projection is a distinct cache entry, not a hit.
-	getJSON(t, fmt.Sprintf("%s/v1/results/%s/program?fields=symbol", srv.URL, res["id"]))
-
-	_, stats := getJSON(t, srv.URL+"/v1/stats")
-	vc := stats["view_cache"].(map[string]any)
-	if vc["hits"].(float64) != 1 || vc["misses"].(float64) != 2 {
-		t.Errorf("view cache hits/misses = %v/%v, want 1/2", vc["hits"], vc["misses"])
-	}
-	if rate := vc["hit_rate"].(float64); rate <= 0 || rate >= 1 {
-		t.Errorf("hit_rate = %v, want in (0,1)", rate)
+	base := fmt.Sprintf("%s/v1/results/%s/program?", srv.URL, res["id"])
+	for _, tc := range []struct {
+		query string
+		rows  int
+	}{
+		{"filter=expr%3Dequal(Y)&filter=symbol%3DP1", 1},
+		{"filter=expr%3Dequal(Y)%26symbol%3DP1", 0},
+	} {
+		code, q := getJSON(t, base+tc.query)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", tc.query, code, q)
+		}
+		if rows := q["rows"].([]any); len(rows) != tc.rows {
+			t.Errorf("%s: %d rows, want %d: %v", tc.query, len(rows), tc.rows, rows)
+		}
 	}
 }

@@ -16,35 +16,36 @@
 // color order (see rewrite.MergeShardReductions) — which is why results
 // are bit-identical to the sequential executor on any node count.
 //
-// Execution is dependency-driven, not bulk-synchronous. Each node
-// derives, from replicated read-only metadata (partitions and its own
-// replica of the owner map, updated identically everywhere), the exact
-// set of messages every (step, launch) pair will receive (see
-// buildSched), issues all of a launch's sends before blocking on any
-// receive, and starts the shard the moment its last ghost dependency
-// lands. Write-back receives and reduction folds are deferred until a
-// later launch touches the fields they write (or the run ends), so a
-// launch whose fields are disjoint from in-flight write-backs computes
-// while that communication is still in the air. Deadlock freedom:
-// sends never block (transports buffer unboundedly), so the only waits
-// are receives, and every expected message is sent by a peer running
-// the identical replicated schedule. Determinism survives because
-// deliveries are matched by tag rather than arrival order, and every
-// same-field write sequence (ghost installs, ship installs, ordered
-// folds) happens in the launch order the sequential executor uses.
+// Execution is dependency-driven, not bulk-synchronous. Before its
+// first send, each node derives its whole protocol from read-only
+// metadata — the partitions and one replay of the owner map
+// (evolveOwners) — as the exact messages it sends and receives at every
+// (step, launch) (see schedule). It then issues all of a launch's sends
+// before blocking on any receive, and starts the shard the moment its
+// last ghost dependency lands. Write-back receives and reduction folds
+// are deferred until a later launch touches the fields they write (or
+// the run ends), so a launch whose fields are disjoint from in-flight
+// write-backs computes while that communication is still in the air.
+// Deadlock freedom: sends never block (transports buffer unboundedly),
+// so the only waits are receives, and every expected message is sent
+// by a peer deriving its schedule from the same metadata. Determinism
+// survives because deliveries are matched by tag rather than arrival
+// order, and every same-field write sequence (ghost installs, ship
+// installs, ordered folds) happens in the launch order the sequential
+// executor uses.
 //
 // All data moves as messages through a Transport (one in-process queue
 // per receiver by default, the socket mesh over loopback TCP, or a
-// latency-injecting chaos transport); nodes never share mutable memory. The executor measures the traffic it
-// generates in the same units sim predicts (sim.NodeStats), making
-// prediction error directly testable, and times each launch's compute
-// and communication overlap (NodeTiming).
+// latency-injecting chaos transport); nodes never share mutable memory.
+// The executor charges the traffic of its schedule in the units sim
+// predicts (sim.NodeStats), a test holds those counters to the messages
+// actually sent, and another to sim's prediction; it also times each
+// launch's compute and communication overlap (NodeTiming).
 package exec
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"autopart/internal/ir"
@@ -152,16 +153,6 @@ func cloneMachine(m *ir.Machine) *ir.Machine {
 	return out
 }
 
-// cloneOwners copies the owner map so each node can evolve its replica
-// independently (they stay identical by determinism).
-func cloneOwners(st *sim.State) map[sim.FieldKey]*region.Partition {
-	out := make(map[sim.FieldKey]*region.Partition, len(st.Owners))
-	for k, p := range st.Owners {
-		out[k] = p
-	}
-	return out
-}
-
 // validate checks the program against the config before spawning nodes.
 func validate(prog *Program, cfg Config) error {
 	if cfg.Nodes < 1 {
@@ -226,8 +217,8 @@ type NodeResult struct {
 	ID    int
 	Stats [][]sim.NodeStats
 	Times [][]NodeTiming
-	// final holds one packed piece per entry of finalOwners (sorted
-	// field keys): this node's owned slice of the field, with the
+	// final holds one packed piece per final owner (sorted field keys,
+	// see evolveOwners): this node's owned slice of the field, with the
 	// region/field names stamped for cross-process validation.
 	final []message
 }
@@ -246,15 +237,14 @@ func RunNode(prog *Program, cfg Config, id int, tr Transport) (*NodeResult, erro
 		return nil, fmt.Errorf("exec: node id %d out of range [0, %d)", id, cfg.Nodes)
 	}
 	nd := &node{
-		id:     id,
-		cfg:    cfg,
-		prog:   prog,
-		m:      cloneMachine(prog.Machine),
-		owners: cloneOwners(prog.Owners),
-		tr:     tr,
-		mb:     newMailbox(),
-		stats:  make([][]sim.NodeStats, cfg.Steps),
-		times:  make([][]NodeTiming, cfg.Steps),
+		id:    id,
+		cfg:   cfg,
+		prog:  prog,
+		m:     cloneMachine(prog.Machine),
+		tr:    tr,
+		mb:    newMailbox(),
+		stats: make([][]sim.NodeStats, cfg.Steps),
+		times: make([][]NodeTiming, cfg.Steps),
 	}
 
 	// The receiver drains the merged inbox into the mailbox; eof
@@ -274,8 +264,9 @@ func RunNode(prog *Program, cfg Config, id int, tr Transport) (*NodeResult, erro
 		nd.mb.close()
 	}()
 
-	runErr := nd.run()
-	// Closing the send side on exit (normal or error) unblocks peers:
+	final, runErr := nd.run()
+	// Closing the send side on exit (normal or error, including a
+	// schedule error that holds for this node only) unblocks peers:
 	// queued messages drain, then receivers see the death and fail
 	// loudly instead of deadlocking.
 	tr.CloseSend(id)
@@ -288,7 +279,7 @@ func RunNode(prog *Program, cfg Config, id int, tr Transport) (*NodeResult, erro
 	}
 
 	nr := &NodeResult{ID: id, Stats: nd.stats, Times: nd.times}
-	for _, fo := range finalOwners(prog, cfg.Steps) {
+	for _, fo := range final {
 		r := nd.m.Regions[fo.key.Region]
 		if r == nil {
 			return nil, fmt.Errorf("exec: gather: owner declared for unknown region %q", fo.key.Region)
@@ -301,46 +292,6 @@ func RunNode(prog *Program, cfg Config, id int, tr Transport) (*NodeResult, erro
 		nr.final = append(nr.final, msg)
 	}
 	return nr, nil
-}
-
-// finalOwner pairs a field with its owner partition after the run's
-// deterministic ownership evolution.
-type finalOwner struct {
-	key   sim.FieldKey
-	owner *region.Partition
-}
-
-// finalOwners replays the ownership evolution to its final state and
-// returns (field, owner) pairs in sorted field-key order — the shared
-// gather order both RunNode (packing) and AssembleResult (installing)
-// iterate in.
-func finalOwners(prog *Program, steps int) []finalOwner {
-	owners := cloneOwners(prog.Owners)
-	for step := 0; step < steps; step++ {
-		for _, t := range prog.Plan.Tasks {
-			for _, req := range t.Launch.Reqs {
-				if req.Priv != runtime.ReadWrite && req.Priv != runtime.WriteDiscard {
-					continue
-				}
-				// Mirror the nodes' move exactly, including the
-				// disjointification of aliased writing partitions.
-				for _, f := range req.Fields {
-					owners[sim.FieldKey{Region: req.Region, Field: f}] = sim.OwnerView(prog.Parts[req.Sym])
-				}
-			}
-		}
-	}
-	out := make([]finalOwner, 0, len(owners))
-	for fk, p := range owners {
-		out = append(out, finalOwner{fk, p})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.Region != out[j].key.Region {
-			return out[i].key.Region < out[j].key.Region
-		}
-		return out[i].key.Field < out[j].key.Field
-	})
-	return out
 }
 
 // AssembleResult combines one NodeResult per color into the run's
@@ -356,7 +307,7 @@ func AssembleResult(prog *Program, cfg Config, results []*NodeResult) (*Result, 
 	if len(results) != n {
 		return nil, fmt.Errorf("exec: assemble: %d node results for %d nodes", len(results), n)
 	}
-	fos := finalOwners(prog, cfg.Steps)
+	fos := evolveOwners(prog, cfg.Steps, nil)
 	for j, nr := range results {
 		if nr == nil {
 			return nil, fmt.Errorf("exec: assemble: missing result for node %d", j)
@@ -468,20 +419,16 @@ func Run(prog *Program, cfg Config) (*Result, error) {
 }
 
 // RunSequentialReference executes the same plan with the sequential
-// parallel-semantics executor (rewrite.Executor) for steps iterations:
+// parallel-semantics executor (rewrite.RunLaunch) for steps iterations:
 // the bit-exact reference the distributed run must reproduce.
 func RunSequentialReference(prog *Program, steps int) (*ir.Machine, error) {
 	if steps <= 0 {
 		steps = 1
 	}
 	m := cloneMachine(prog.Machine)
-	ex := rewrite.NewExecutor(m)
-	for sym, p := range prog.Parts {
-		ex.Bind(sym, p)
-	}
 	for s := 0; s < steps; s++ {
 		for _, t := range prog.Plan.Tasks {
-			if err := ex.RunLaunch(t.Loop); err != nil {
+			if err := rewrite.RunLaunch(m, prog.Parts, t.Loop); err != nil {
 				return nil, err
 			}
 		}

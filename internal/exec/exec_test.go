@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	goruntime "runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"autopart/internal/apps/circuit"
 	"autopart/internal/apps/miniaero"
@@ -214,60 +217,149 @@ func TestPrivateSubPartitionShrinksBuffers(t *testing.T) {
 	}
 }
 
-// TestCommMatchesSim cross-checks the executor's measured communication
-// against the analytic model: for stencil and circuit, every per-node,
-// per-launch counter sim predicts must match what the executor actually
-// shipped, exactly — bytes, messages, fragments, and reduction-buffer
-// elements. ComputeUnits is excluded by design: the model prices compute
-// analytically (work-per-element times elements) while the executor
-// reports zero, since wall-clock compute has no place in a determinism
-// test. That is the only intentional divergence.
+// TestCommMatchesSim holds the executor's charged communication to two
+// things it does not derive from: the messages each node actually sent,
+// and the analytic model. On every builtin at 3 and 8 nodes, each
+// node's per-launch MsgsOut must equal the messages it handed the
+// transport and BytesOut their payload, and every per-node, per-launch
+// counter sim predicts must match exactly — bytes, messages, fragments,
+// and reduction-buffer elements. ComputeUnits is excluded by design:
+// the model prices compute analytically (work-per-element times
+// elements) while the executor reports zero, since wall-clock compute
+// has no place in a determinism test. That is the only intentional
+// divergence.
 func TestCommMatchesSim(t *testing.T) {
-	const nodes, steps = 4, 2
-	cases := []appCase{
-		{"stencil", func(n int) (*exec.Program, error) {
-			return stencil.Executable(stencil.DefaultConfig(), compiled(t, "stencil", stencil.Source()), n)
-		}},
-		{"circuit", func(n int) (*exec.Program, error) {
-			return circuit.Executable(circuit.DefaultConfig(), compiled(t, "circuit", circuit.Source), n, false)
-		}},
-	}
-	for _, app := range cases {
+	const steps = 2
+	for _, app := range appCases(t) {
 		t.Run(app.name, func(t *testing.T) {
-			prog, err := app.build(nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := exec.Run(prog, exec.Config{Nodes: nodes, Steps: steps})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Run does not mutate prog.Owners, so the same state seeds the
-			// model; RunIteration then evolves it step by step exactly as
-			// the executor's replicas did.
-			model := sim.Default()
-			launches := prog.Plan.Launches()
-			for step := 0; step < steps; step++ {
-				its, err := model.RunIteration(launches, prog.Parts, prog.Owners)
-				if err != nil {
-					t.Fatalf("step %d: sim: %v", step, err)
-				}
-				for li, ls := range its.Launches {
-					measured := res.Steps[step].Launches[li]
-					for j := range ls.Nodes {
-						want, got := ls.Nodes[j], measured.Nodes[j]
-						want.ComputeUnits, got.ComputeUnits = 0, 0
-						if want != got {
-							t.Errorf("step %d launch %s node %d: sim predicts %+v, executor measured %+v",
-								step, ls.Name, j, want, got)
+			for _, nodes := range []int{3, 8} {
+				t.Run("nodes="+itoa(nodes), func(t *testing.T) {
+					prog, err := app.build(nodes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var rec exec.SendRecorder
+					cfg := exec.Config{Nodes: nodes, Steps: steps, Transport: rec.Wrap(exec.InprocTransport())}
+					res, err := exec.Run(prog, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkSends(t, res, rec.Sent(), sim.Default().BytesPerElem)
+					// Run does not mutate prog.Owners, so the same state seeds
+					// the model; RunIteration then evolves it step by step
+					// exactly as the executor's schedule replayed it.
+					model := sim.Default()
+					launches := prog.Plan.Launches()
+					for step := 0; step < steps; step++ {
+						its, err := model.RunIteration(launches, prog.Parts, prog.Owners)
+						if err != nil {
+							t.Fatalf("step %d: sim: %v", step, err)
+						}
+						for li, ls := range its.Launches {
+							measured := res.Steps[step].Launches[li]
+							for j := range ls.Nodes {
+								want, got := ls.Nodes[j], measured.Nodes[j]
+								want.ComputeUnits, got.ComputeUnits = 0, 0
+								if want != got {
+									t.Errorf("step %d launch %s node %d: sim predicts %+v, executor measured %+v",
+										step, ls.Name, j, want, got)
+								}
+							}
 						}
 					}
-				}
-			}
-			if res.TotalBytes() == 0 {
-				t.Error("cross-check is vacuous: no bytes moved")
+					if res.TotalBytes() == 0 {
+						t.Error("cross-check is vacuous: no bytes moved")
+					}
+				})
 			}
 		})
+	}
+}
+
+// checkSends compares each node's charged per-launch MsgsOut and
+// BytesOut with what it handed the transport.
+func checkSends(t *testing.T, res *exec.Result, sent []exec.SentMsg, bpe float64) {
+	t.Helper()
+	type row struct{ step, launch, node int }
+	msgs, elems := map[row]int{}, map[row]int{}
+	for _, m := range sent {
+		r := row{m.Step, m.Launch, m.From}
+		msgs[r]++
+		elems[r] += m.Elems
+	}
+	total := 0
+	for step, sc := range res.Steps {
+		for li, lc := range sc.Launches {
+			for j, ns := range lc.Nodes {
+				r := row{step, li, j}
+				if msgs[r] != ns.MsgsOut || float64(elems[r])*bpe != ns.BytesOut {
+					t.Errorf("step %d launch %s node %d: sent %d messages of %d elements, charged MsgsOut %d BytesOut %.0f",
+						step, lc.Name, j, msgs[r], elems[r], ns.MsgsOut, ns.BytesOut)
+				}
+				total += ns.MsgsOut
+			}
+		}
+	}
+	if total != len(sent) {
+		t.Errorf("%d messages sent, %d charged", len(sent), total)
+	}
+}
+
+// TestMissingOwnerFailsBeforeSending deletes the initial owner of a
+// field circuit first names after launch 0. Every node derives its whole
+// schedule before its first send, so Run must fail naming the field
+// with no message sent and no goroutine left behind — not after launch
+// 0's traffic is already in flight.
+func TestMissingOwnerFailsBeforeSending(t *testing.T) {
+	const nodes = 3
+	prog, err := circuit.Executable(circuit.DefaultConfig(), compiled(t, "circuit", circuit.Source), nodes, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim sim.FieldKey
+	named := map[sim.FieldKey]bool{}
+	for li, task := range prog.Plan.Tasks {
+		for _, req := range task.Launch.Reqs {
+			for _, f := range req.Fields {
+				fk := sim.FieldKey{Region: req.Region, Field: f}
+				if li > 0 && victim.Field == "" && !named[fk] && req.Priv != runtime.WriteDiscard {
+					victim = fk
+				}
+			}
+		}
+		for _, req := range task.Launch.Reqs {
+			for _, f := range req.Fields {
+				named[sim.FieldKey{Region: req.Region, Field: f}] = true
+			}
+		}
+	}
+	if victim.Field == "" {
+		t.Fatal("circuit names every field in launch 0; the test is vacuous")
+	}
+	owners := sim.NewState()
+	for fk, p := range prog.Owners.Owners {
+		if fk != victim {
+			owners.Own(fk.Region, fk.Field, p)
+		}
+	}
+	prog.Owners = owners
+
+	before := goruntime.NumGoroutine()
+	var rec exec.SendRecorder
+	_, err = exec.Run(prog, exec.Config{Nodes: nodes, Transport: rec.Wrap(exec.InprocTransport())})
+	want := fmt.Sprintf("no owner for %s.%s", victim.Region, victim.Field)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run error = %v, want one naming %q", err, want)
+	}
+	if sent := rec.Sent(); len(sent) != 0 {
+		t.Errorf("%d messages sent before the run failed, want 0 (first: %+v)", len(sent), sent[0])
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := goruntime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked: %d before the run, %d after", before, after)
 	}
 }
 

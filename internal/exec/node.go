@@ -4,36 +4,31 @@ import (
 	"fmt"
 	"time"
 
-	"autopart/internal/geometry"
 	"autopart/internal/ir"
-	"autopart/internal/region"
 	"autopart/internal/rewrite"
-	"autopart/internal/runtime"
 	"autopart/internal/sim"
 )
 
 // node is one SPMD executor node. It holds a full-size local copy of
-// every region (valid only on owned elements and fresh ghosts), its own
-// replica of the owner map (all replicas evolve identically), and its
+// every region (valid only on owned elements and fresh ghosts) and its
 // rows of the per-launch statistics. Nodes communicate exclusively
 // through the transport; no mutable state is shared.
 //
-// Execution is dependency-driven, not bulk-synchronous: each launch's
-// incoming messages are known in advance (buildSched), all outgoing
-// messages are issued before any receive blocks, the shard runs the
-// moment its last ghost dependency lands, and the launch's write-back
-// receives and reduction folds are deferred — queued as a pendingFinish
-// and settled only when a later launch (or the final gather) touches
-// one of the fields they write. A launch over fields disjoint from
-// every pending finish therefore computes while those receives are
-// still in flight; that compute-communication overlap is what the
-// timing columns measure.
+// Execution is dependency-driven, not bulk-synchronous: the node derives
+// its whole schedule before its first send, so each launch's incoming
+// messages are known in advance; all outgoing messages are issued
+// before any receive blocks, the shard runs the moment its last ghost
+// dependency lands, and the launch's write-back receives and reduction
+// folds are deferred — queued as a pendingFinish and settled only when
+// a later launch (or the final gather) touches one of the fields they
+// write. A launch over fields disjoint from every pending finish
+// therefore computes while those receives are still in flight; that
+// compute-communication overlap is what the timing columns measure.
 type node struct {
 	id      int
 	cfg     Config
 	prog    *Program
 	m       *ir.Machine
-	owners  map[sim.FieldKey]*region.Partition
 	tr      Transport
 	mb      *mailbox
 	stats   [][]sim.NodeStats
@@ -48,53 +43,44 @@ type pendingFinish struct {
 	res   *rewrite.ShardResult
 }
 
-func (n *node) nodes() int { return n.cfg.Nodes }
-
-// run executes all steps of the plan, then settles every deferred
-// finish so gather reads fully merged data.
-func (n *node) run() error {
-	for step := 0; step < n.cfg.Steps; step++ {
-		n.stats[step] = make([]sim.NodeStats, len(n.prog.Plan.Tasks))
+// run derives the node's schedule, executes every launch of it, then
+// settles every deferred finish so the gather reads fully merged data.
+// It returns the final owners the gather packs.
+func (n *node) run() ([]finalOwner, error) {
+	scheds, final, err := schedule(n.prog, n.cfg, n.id)
+	if err != nil {
+		return nil, err
+	}
+	for step := range n.times {
 		n.times[step] = make([]NodeTiming, len(n.prog.Plan.Tasks))
-		for li, t := range n.prog.Plan.Tasks {
-			if err := n.runLaunch(step, li, t); err != nil {
-				return fmt.Errorf("step %d, launch %s: %w", step, t.Launch.Name, err)
-			}
+	}
+	for _, sc := range scheds {
+		n.stats[sc.step] = append(n.stats[sc.step], sc.stats)
+		if err := n.runLaunch(sc); err != nil {
+			return nil, fmt.Errorf("step %d, launch %s: %w", sc.step, sc.task.Launch.Name, err)
 		}
 	}
-	return n.settle(len(n.pending))
+	return final, n.settle(len(n.pending))
 }
 
-func (n *node) send(to int, msg message) {
-	n.tr.Send(n.id, to, msg)
+// send stamps the transfer's tag and set on msg and hands it to the
+// transport.
+func (n *node) send(tr transfer, msg message) {
+	k := tr.tag
+	msg.kind, msg.step, msg.launch, msg.req = k.kind, k.step, k.launch, k.req
+	msg.region, msg.field, msg.set = k.region, k.field, tr.set
+	n.tr.Send(n.id, tr.to, msg)
 }
 
-// take blocks until the dependency's message lands, then verifies the
-// full tag (including the metadata-derived element set) before
-// returning it.
-func (n *node) take(d depSpec) (message, time.Time, error) {
-	msg, at, err := n.mb.take(d.key)
-	if err != nil {
-		return msg, at, err
+// take blocks until the transfer's message lands, then verifies it
+// carries the element set the schedule expects (the mailbox matched
+// every other tag field).
+func (n *node) take(tr transfer) (message, error) {
+	msg, err := n.mb.take(tr.tag)
+	if err == nil && !msg.set.Equal(tr.set) {
+		err = fmt.Errorf("exec: protocol mismatch: %s carries %s, want %s", tr.tag, msg.set, tr.set)
 	}
-	k := d.key
-	if err := msg.checkTag(k.kind, k.step, k.launch, k.req, k.region, k.field, d.set); err != nil {
-		return msg, at, err
-	}
-	return msg, at, nil
-}
-
-// needsFetch reports whether a requirement pulls ghost data before the
-// launch: reads do, and §5.1 guarded reductions read-modify-write their
-// targets in place. WriteDiscard and buffered reductions never fetch.
-func needsFetch(req runtime.Requirement) bool {
-	switch req.Priv {
-	case runtime.ReadOnly, runtime.ReadWrite:
-		return true
-	case runtime.Reduce:
-		return req.Guarded
-	}
-	return false
+	return msg, err
 }
 
 // settle applies the first count pending finishes, oldest first: take
@@ -132,236 +118,84 @@ func (n *node) settleTouching(fields map[rewrite.FieldKey]bool) error {
 	return n.settle(last + 1)
 }
 
-// runLaunch drives one launch on this node:
+// runLaunch executes one launch of the node's schedule:
 //
 //  1. settle pending finishes that conflict with this launch's fields;
-//  2. build the dependency schedule from replicated metadata;
-//  3. issue every outgoing ghost piece (sends never block);
-//  4. take ghost dependencies as they land and install them — the
+//  2. issue every outgoing ghost piece (sends never block);
+//  3. take ghost dependencies as they land and install them — the
 //     shard starts the moment the last one arrives;
-//  5. run the shard (rewrite.RunShard) and flush its private writes;
+//  4. run the shard (rewrite.RunShard) and flush its private writes;
+//  5. check every reduction contribution can reach an owner;
 //  6. issue every write-back send (guarded ships, buffer merges);
-//  7. defer the write-back receives and folds as a pendingFinish;
-//  8. move ownership of written fields (metadata, applied immediately
-//     so later schedules see it).
+//  7. defer the write-back receives and folds as a pendingFinish.
 //
 // Bit-identity survives the reordering because writes stay canonically
 // ordered where it matters: folds run per field in requirement order
 // via rewrite.MergeShardReductions, settles run in launch order, and
 // everything else lands on disjoint element sets.
-func (n *node) runLaunch(step, li int, t runtime.Task) error {
-	l := t.Launch
-	if err := n.settleTouching(launchFields(l)); err != nil {
+func (n *node) runLaunch(sc *launchSched) error {
+	if err := n.settleTouching(launchFields(sc.task.Launch)); err != nil {
 		return err
 	}
-	lt := &n.times[step][li]
+	lt := &n.times[sc.step][sc.li]
 	start := time.Now()
 
-	sched, err := n.buildSched(step, li, t)
-	if err != nil {
-		return err
-	}
-	st := &n.stats[step][li]
-	parts := n.prog.Parts
-	j := n.id
-	bpe := n.cfg.BytesPerElem
-
-	// Outgoing ghosts: serve peers' remote needs from owned data.
-	for ri, req := range l.Reqs {
-		if !needsFetch(req) {
-			continue
-		}
-		p := parts[req.Sym]
-		for _, f := range req.Fields {
-			owner, err := n.ownerOf(req.Region, f)
-			if err != nil {
-				return err
-			}
-			for k := 0; k < n.nodes(); k++ {
-				if k == j {
-					continue
-				}
-				need := p.Sub(k).Subtract(owner.Sub(k))
-				piece := need.Intersect(owner.Sub(j))
-				if piece.Empty() {
-					continue
-				}
-				msg, err := packField(n.m.Regions[req.Region], f, piece)
-				if err != nil {
-					return err
-				}
-				msg.kind, msg.step, msg.launch, msg.req = ghostMsg, step, li, ri
-				msg.region, msg.field = req.Region, f
-				n.send(k, msg)
-				st.BytesOut += float64(piece.Len()) * bpe
-				st.FragsOut += piece.NumIntervals()
-				st.MsgsOut++
-			}
-		}
-	}
-
-	// Incoming ghosts: the shard's compute dependencies. Install each
-	// as it is taken; after the last take the shard is ready.
-	for _, d := range sched.ghosts {
-		msg, _, err := n.take(d)
+	for _, tr := range sc.ghostsOut {
+		msg, err := packField(n.m.Regions[tr.tag.region], tr.tag.field, tr.set)
 		if err != nil {
 			return err
 		}
-		if err := installField(n.m.Regions[d.key.region], d.key.field, &msg); err != nil {
+		n.send(tr, msg)
+	}
+	for _, tr := range sc.ghostsIn {
+		msg, err := n.take(tr)
+		if err != nil {
+			return err
+		}
+		if err := installField(n.m.Regions[tr.tag.region], tr.tag.field, &msg); err != nil {
 			return err
 		}
 	}
 
-	// Shard execution over this color only.
 	t0 := time.Now()
-	res, err := rewrite.RunShard(n.m, parts, t.Loop, j)
+	res, err := rewrite.RunShard(n.m, n.prog.Parts, sc.task.Loop, n.id)
 	if err != nil {
 		return err
 	}
 	rewrite.FlushShard(n.m, res)
 	t1 := time.Now()
 
-	// Reduction-instance accounting: the buffer covers the instance
-	// subregion minus the §5.2 private sub-partition (private elements
-	// reduce directly into the local instance).
-	for _, req := range l.Reqs {
-		if req.Priv != runtime.Reduce || req.Guarded {
-			continue
-		}
-		sub := parts[req.Sym].Sub(j)
-		if sub.Empty() {
-			continue
-		}
-		alloc := sub
-		if req.PrivateSym != "" {
-			alloc = sub.Subtract(parts[req.PrivateSym].Sub(j))
-		}
-		st.BufferElems += float64(alloc.Len()) * float64(len(req.Fields))
-	}
-
-	// Outgoing write-backs (guarded ships, buffer merges). A launch may
-	// carry several unguarded reduction requirements on the same field
-	// through different instance partitions (circuit reduces into
-	// Nodes.charge via both wire endpoints). Sends and statistics stay
-	// per-requirement — that is how sim charges them — but the shard
-	// buffer is shared per field, so reachability is checked against the
-	// union of the requirements' reach sets, and the owner-side fold
-	// dedupes by sender before folding each contribution exactly once.
-	mergeReach := map[rewrite.FieldKey]geometry.IndexSet{}
-	var mergeOrder []rewrite.FieldKey
-	for ri, req := range l.Reqs {
-		if req.Priv != runtime.Reduce {
-			continue
-		}
-		p := parts[req.Sym]
-		if req.Guarded {
-			for _, f := range req.Fields {
-				owner, err := n.postOwnerOf(l, req.Region, f)
-				if err != nil {
-					return err
-				}
-				remote := p.Sub(j).Subtract(owner.Sub(j))
-				if remote.Empty() {
-					continue
-				}
-				st.BytesOut += float64(remote.Len()) * bpe
-				st.FragsOut += remote.NumIntervals()
-				covered := geometry.IndexSet{}
-				for _, pc := range region.SplitByOwner(remote, owner) {
-					msg, err := packField(n.m.Regions[req.Region], f, pc.Set)
-					if err != nil {
-						return err
-					}
-					msg.kind, msg.step, msg.launch, msg.req = shipMsg, step, li, ri
-					msg.region, msg.field = req.Region, f
-					n.send(pc.Color, msg)
-					st.MsgsOut++
-					covered = covered.Union(pc.Set)
-				}
-				if !covered.Equal(remote) {
-					return fmt.Errorf("guarded write-back of %s.%s would lose updates on unowned set %s",
-						req.Region, f, remote.Subtract(covered))
-				}
-			}
-			continue
-		}
-		touched := p
-		if req.TouchedSym != "" {
-			touched = parts[req.TouchedSym]
-		}
-		if p.Sub(j).Empty() {
-			continue
-		}
-		for _, f := range req.Fields {
-			owner, err := n.postOwnerOf(l, req.Region, f)
-			if err != nil {
-				return err
-			}
-			fk := rewrite.FieldKey{Region: req.Region, Field: f}
-			buf := res.Reductions[fk]
-			if _, ok := mergeReach[fk]; !ok {
-				mergeOrder = append(mergeOrder, fk)
-			}
-			reach := mergeReach[fk].Union(owner.Sub(j))
-			remote := touched.Sub(j).Subtract(owner.Sub(j))
-			if !remote.Empty() {
-				st.BytesOut += float64(remote.Len()) * bpe
-				st.FragsOut += remote.NumIntervals()
-				for _, pc := range region.SplitByOwner(remote, owner) {
-					var msg message
-					if buf != nil {
-						msg.scalars, msg.present = packBuffer(buf.Values, pc.Set)
-					} else {
-						msg.scalars, msg.present = packBuffer(nil, pc.Set)
-					}
-					msg.set = pc.Set
-					msg.kind, msg.step, msg.launch, msg.req = mergeMsg, step, li, ri
-					msg.region, msg.field = req.Region, f
-					n.send(pc.Color, msg)
-					st.MsgsOut++
-				}
-				reach = reach.Union(remote.Intersect(owner.UnionAll()))
-			}
-			mergeReach[fk] = reach
-		}
-	}
 	// Contributions neither local nor shipped under any requirement would
 	// silently vanish; the coherence protocol treats that as unsound.
-	for _, fk := range mergeOrder {
-		buf := res.Reductions[fk]
+	for _, fs := range sc.folds {
+		buf, reach := res.Reductions[fs.fk], sc.reach[fs.fk]
 		if buf == nil {
 			continue
 		}
-		reach := mergeReach[fk]
 		for idx := range buf.Values {
 			if !reach.Contains(idx) {
 				return fmt.Errorf("reduction contribution to %s.%s[%d] has no owner to merge into",
-					fk.Region, fk.Field, idx)
+					fs.fk.Region, fs.fk.Field, idx)
 			}
 		}
 	}
 
-	// Defer the write-back receives and folds; a later launch touching
-	// the same fields (or the end of the run) settles them.
-	n.pending = append(n.pending, &pendingFinish{sched: sched, res: res})
-
-	// Writes move ownership to the writing partition (metadata; every
-	// replica applies the same move at the same launch). The owner map
-	// must stay a true partition: an aliased writer (e.g. an overlapping
-	// user extern reused as a write partition) would give an element two
-	// owners, and fold routing, ghost need-sets, and the final gather all
-	// assume exactly one. Duplicated writers compute identical values
-	// under snapshot semantics, so keeping the first color's copy is
-	// sound — differential fuzzing caught a reduction fold landing on a
-	// non-gathered replica before this disjointification.
-	for _, req := range l.Reqs {
-		if req.Priv != runtime.ReadWrite && req.Priv != runtime.WriteDiscard {
-			continue
+	for _, tr := range sc.backsOut {
+		var msg message
+		if tr.tag.kind == shipMsg {
+			if msg, err = packField(n.m.Regions[tr.tag.region], tr.tag.field, tr.set); err != nil {
+				return err
+			}
+		} else {
+			var values map[int64]float64
+			if buf := res.Reductions[tr.tag.fk()]; buf != nil {
+				values = buf.Values
+			}
+			msg.scalars, msg.present = packBuffer(values, tr.set)
 		}
-		for _, f := range req.Fields {
-			n.owners[sim.FieldKey{Region: req.Region, Field: f}] = sim.OwnerView(parts[req.Sym])
-		}
+		n.send(tr, msg)
 	}
+	n.pending = append(n.pending, &pendingFinish{sched: sc, res: res})
 
 	// Timing: the launch overlapped communication with compute for the
 	// part of the shard's window during which at least one expected
@@ -369,8 +203,8 @@ func (n *node) runLaunch(step, li int, t runtime.Task) error {
 	// yet arrived.
 	var outstanding []tagKey
 	for _, pf := range n.pending {
-		for _, d := range pf.sched.backs {
-			outstanding = append(outstanding, d.key)
+		for _, tr := range pf.sched.backsIn {
+			outstanding = append(outstanding, tr.tag)
 		}
 	}
 	lt.ComputeNS = t1.Sub(t0).Nanoseconds()
@@ -417,28 +251,25 @@ func (n *node) finish(pf *pendingFinish) error {
 	sc := pf.sched
 	perField := map[rewrite.FieldKey][]map[int64]float64{}
 	for _, fs := range sc.folds {
-		perField[fs.fk] = make([]map[int64]float64, n.nodes())
+		perField[fs.fk] = make([]map[int64]float64, n.cfg.Nodes)
 	}
-	for _, d := range sc.backs {
-		msg, _, err := n.take(d)
+	for _, tr := range sc.backsIn {
+		msg, err := n.take(tr)
 		if err != nil {
 			return err
 		}
-		if d.key.kind == shipMsg {
-			if err := installField(n.m.Regions[d.key.region], d.key.field, &msg); err != nil {
+		if tr.tag.kind == shipMsg {
+			if err := installField(n.m.Regions[tr.tag.region], tr.tag.field, &msg); err != nil {
 				return err
 			}
 			continue
 		}
-		perColor := perField[d.fk]
-		if perColor == nil {
-			return fmt.Errorf("merge message %s has no fold", d.key)
-		}
+		perColor := perField[tr.tag.fk()]
 		for idx, v := range unpackBuffer(&msg) {
-			if perColor[d.key.from] == nil {
-				perColor[d.key.from] = map[int64]float64{}
+			if perColor[tr.tag.from] == nil {
+				perColor[tr.tag.from] = map[int64]float64{}
 			}
-			perColor[d.key.from][idx] = v
+			perColor[tr.tag.from][idx] = v
 		}
 	}
 	// Our own shard's contributions on elements we own fold locally;
@@ -469,42 +300,4 @@ func (n *node) finish(pf *pendingFinish) error {
 		rewrite.MergeShardReductions(n.m, merged)
 	}
 	return nil
-}
-
-func (n *node) ownerOf(regionName, field string) (*region.Partition, error) {
-	owner := n.owners[sim.FieldKey{Region: regionName, Field: field}]
-	if owner == nil {
-		return nil, fmt.Errorf("no owner for %s.%s", regionName, field)
-	}
-	return owner, nil
-}
-
-// postOwnerOf returns the owner partition of a field as it will stand
-// AFTER the launch's ownership moves. Reduction write-backs (ships and
-// merges) must land on the copies that later launches and the final
-// gather read: when the same launch also writes the field through an
-// RW/WD requirement, routing them by the owner at launch entry folds
-// contributions into replicas that stop being authoritative the moment
-// the launch completes — differential fuzzing caught exactly that with
-// a centered and an uncentered reduction of one field sharing a launch.
-// The last write requirement wins, matching the ownership-move loop.
-func (n *node) postOwnerOf(l *runtime.Launch, regionName, field string) (*region.Partition, error) {
-	owner, err := n.ownerOf(regionName, field)
-	if err != nil {
-		return nil, err
-	}
-	for _, req := range l.Reqs {
-		if req.Priv != runtime.ReadWrite && req.Priv != runtime.WriteDiscard {
-			continue
-		}
-		if req.Region != regionName {
-			continue
-		}
-		for _, f := range req.Fields {
-			if f == field {
-				owner = sim.OwnerView(n.prog.Parts[req.Sym])
-			}
-		}
-	}
-	return owner, nil
 }

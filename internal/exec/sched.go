@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"maps"
+	"sort"
 	"sync"
 	"time"
 
@@ -9,16 +11,18 @@ import (
 	"autopart/internal/region"
 	"autopart/internal/rewrite"
 	"autopart/internal/runtime"
+	"autopart/internal/sim"
 )
 
-// This file is the dependency machinery that replaces the old
-// bulk-synchronous launch phases: every (step, launch) gets a schedule
-// of the exact messages it must receive, computed purely from
-// replicated metadata before any data moves, and a mailbox matches
-// deliveries to expectations by tag in whatever order the transport
-// produces them. Because matching is content-addressed — never
-// positional — any delivery schedule yields the same data, which the
-// flaky transport's chaos testing relies on.
+// This file is the dependency machinery that replaces bulk-synchronous
+// launch phases: before its first send, each node derives from the
+// program's metadata alone (partitions, and the owner map as
+// evolveOwners replays it) the exact messages it will send and receive
+// at every (step, launch), and a mailbox matches deliveries to those
+// expectations by tag in whatever order the transport produces them.
+// Because matching is content-addressed — never positional — any
+// delivery schedule yields the same data, which the flaky transport's
+// chaos testing relies on.
 
 // tagKey identifies one protocol message: every field a sender stamps,
 // plus the sender itself. Unique per message — within one launch a
@@ -41,6 +45,10 @@ func keyOf(m *message) tagKey {
 func (k tagKey) String() string {
 	return fmt.Sprintf("%s step=%d launch=%d req=%d %s.%s from peer %d",
 		k.kind, k.step, k.launch, k.req, k.region, k.field, k.from)
+}
+
+func (k tagKey) fk() rewrite.FieldKey {
+	return rewrite.FieldKey{Region: k.region, Field: k.field}
 }
 
 // arrival is one delivered message plus its receive timestamp (the
@@ -116,22 +124,22 @@ func (mb *mailbox) close() {
 
 // take removes and returns the message with tag k, blocking until it
 // arrives. It fails fast if the sender (or the transport) died first.
-func (mb *mailbox) take(k tagKey) (message, time.Time, error) {
+func (mb *mailbox) take(k tagKey) (message, error) {
 	for {
 		mb.mu.Lock()
 		if a, ok := mb.arrived[k]; ok {
 			delete(mb.arrived, k)
 			mb.mu.Unlock()
-			return a.msg, a.at, nil
+			return a.msg, nil
 		}
 		if mb.err != nil {
 			err := mb.err
 			mb.mu.Unlock()
-			return message{}, time.Time{}, err
+			return message{}, err
 		}
 		if mb.closed || mb.anyDead || mb.dead[k.from] {
 			mb.mu.Unlock()
-			return message{}, time.Time{}, fmt.Errorf("peer %d exited before sending %s", k.from, k)
+			return message{}, fmt.Errorf("peer %d exited before sending %s", k.from, k)
 		}
 		wake := mb.wake
 		mb.mu.Unlock()
@@ -163,12 +171,13 @@ func (mb *mailbox) leftoverErr() error {
 	return nil
 }
 
-// depSpec is one expected incoming message: its tag and the element
-// set the replicated metadata says it must carry.
-type depSpec struct {
-	key tagKey
+// transfer is one protocol message as a schedule names it: its tag
+// (tag.from is the sender), its receiver, and the element set it
+// carries.
+type transfer struct {
+	tag tagKey
+	to  int
 	set geometry.IndexSet
-	fk  rewrite.FieldKey
 }
 
 // foldSpec is one reduced field's owner-side fold: the §5.2 merge of
@@ -178,153 +187,265 @@ type depSpec struct {
 type foldSpec struct {
 	fk  rewrite.FieldKey
 	op  string
-	own geometry.IndexSet // owner.Sub(j) at launch entry: the seed restriction
+	own geometry.IndexSet // the post-launch owner's subregion: the seed restriction
 }
 
-// launchSched is one (step, launch) dependency schedule on one node:
-// which messages must land before the shard can run (ghosts), which
-// must land before the launch can finish (write-backs), and the folds
-// the finish performs. Both sides derive it independently from the
-// same replicated metadata, which is what makes tag-matching sound.
+// launchSched is one node's whole protocol for one (step, launch): what
+// it sends before its shard runs (ghostsOut) and after (backsOut), what
+// must land before the shard can run (ghostsIn) and before the launch
+// can finish (backsIn), the folds the finish performs, and the traffic
+// all of it amounts to. Transfers are in canonical (requirement, field,
+// peer) order. Every node derives its own rows from the same metadata,
+// which is what makes tag-matching sound.
 type launchSched struct {
-	step, li int
-	task     runtime.Task
-	// ghosts are the before-compute dependencies in canonical
-	// (requirement, field, owner-piece) order.
-	ghosts []depSpec
-	// backs are the write-back dependencies (guarded ships and buffer
-	// merges), canonical order.
-	backs []depSpec
+	step, li  int
+	task      runtime.Task
+	ghostsOut []transfer
+	ghostsIn  []transfer
+	// backsOut and backsIn are the write-backs: guarded ships and
+	// buffer merges.
+	backsOut []transfer
+	backsIn  []transfer
 	// folds lists the reduced fields in fold order.
 	folds []foldSpec
 	// touches are the fields the deferred finish will write (ship
 	// installs and folds): a later launch touching any of them must
 	// settle this one first.
 	touches map[rewrite.FieldKey]bool
+	// reach is, per field this node's shard buffers reductions for, the
+	// elements a contribution can land on: owned here, or merged into an
+	// owner. A contribution elsewhere would silently vanish.
+	reach map[rewrite.FieldKey]geometry.IndexSet
+	stats sim.NodeStats
 }
 
-// buildSched computes the launch's dependency schedule and charges all
-// incoming-side statistics (the executor knows what it will receive
-// before receiving it). It must run before the launch's ownership
-// update: ghost sets are relative to owners at launch entry (where
-// valid data IS), while write-back sets use postOwnerOf (where valid
-// data will be READ after the launch), mirroring the send side.
-func (n *node) buildSched(step, li int, t runtime.Task) (*launchSched, error) {
-	l := t.Launch
-	st := &n.stats[step][li]
-	parts := n.prog.Parts
-	j := n.id
-	bpe := n.cfg.BytesPerElem
-	sc := &launchSched{step: step, li: li, task: t, touches: map[rewrite.FieldKey]bool{}}
+// finalOwner pairs a field with its owner partition after the run.
+type finalOwner struct {
+	key   sim.FieldKey
+	owner *region.Partition
+}
 
-	// Ghost dependencies: every remote-owned piece of a read set.
-	for ri, req := range l.Reqs {
-		if !needsFetch(req) {
-			continue
-		}
-		p := parts[req.Sym]
-		for _, f := range req.Fields {
-			owner, err := n.ownerOf(req.Region, f)
-			if err != nil {
-				return nil, err
+// evolveOwners replays the run's ownership evolution, and is the only
+// code that applies its rule: a write moves the field's ownership to
+// the writing partition's OwnerView. For every (step, launch) in run
+// order it calls visit, when non-nil, with the owners at launch entry
+// and moved, the post-launch owner of each field the launch writes (the
+// last write requirement wins); visit must not retain either map. It
+// returns the final owners in sorted field-key order — the gather order
+// in which RunNode packs and AssembleResult installs.
+func evolveOwners(prog *Program, steps int, visit func(step, li int, t runtime.Task, entry, moved map[sim.FieldKey]*region.Partition)) []finalOwner {
+	owners := make(map[sim.FieldKey]*region.Partition, len(prog.Owners.Owners))
+	maps.Copy(owners, prog.Owners.Owners)
+	moved := map[sim.FieldKey]*region.Partition{}
+	for step := 0; step < steps; step++ {
+		for li, t := range prog.Plan.Tasks {
+			clear(moved)
+			for _, req := range t.Launch.Reqs {
+				if req.Priv != runtime.ReadWrite && req.Priv != runtime.WriteDiscard {
+					continue
+				}
+				for _, f := range req.Fields {
+					moved[sim.FieldKey{Region: req.Region, Field: f}] = prog.Parts[req.Sym].OwnerView()
+				}
 			}
-			remote := p.Sub(j).Subtract(owner.Sub(j))
-			if remote.Empty() {
+			if visit != nil {
+				visit(step, li, t, owners, moved)
+			}
+			maps.Copy(owners, moved)
+		}
+	}
+	out := make([]finalOwner, 0, len(owners))
+	for fk, p := range owners {
+		out = append(out, finalOwner{fk, p})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].key.Region != out[j].key.Region {
+			return out[i].key.Region < out[j].key.Region
+		}
+		return out[i].key.Field < out[j].key.Field
+	})
+	return out
+}
+
+// schedule derives node j's whole protocol before its first send: one
+// launchSched per (step, launch) in run order, plus the final owners
+// its gather packs. A node derives only its own rows, O(n) set
+// operations per requirement field. It fails before any message moves
+// on a field without an owner, a ghost set no owner covers, or a
+// guarded write-back that would lose updates; some of these hold for
+// one node only.
+func schedule(prog *Program, cfg Config, j int) ([]*launchSched, []finalOwner, error) {
+	var scheds []*launchSched
+	var err error
+	final := evolveOwners(prog, cfg.Steps, func(step, li int, t runtime.Task, entry, moved map[sim.FieldKey]*region.Partition) {
+		if err != nil {
+			return
+		}
+		sc, lerr := scheduleLaunch(prog.Parts, cfg, j, step, li, t, entry, moved)
+		if lerr != nil {
+			err = fmt.Errorf("step %d, launch %s: %w", step, t.Launch.Name, lerr)
+			return
+		}
+		scheds = append(scheds, sc)
+	})
+	return scheds, final, err
+}
+
+func scheduleLaunch(parts map[string]*region.Partition, cfg Config, j, step, li int, t runtime.Task, entry, moved map[sim.FieldKey]*region.Partition) (*launchSched, error) {
+	sc := &launchSched{step: step, li: li, task: t,
+		touches: map[rewrite.FieldKey]bool{}, reach: map[rewrite.FieldKey]geometry.IndexSet{}}
+	st := &sc.stats
+	pay := func(in bool, set geometry.IndexSet, msgs int) {
+		bytes, frags := float64(set.Len())*cfg.BytesPerElem, set.NumIntervals()
+		if in {
+			st.BytesIn, st.FragsIn, st.MsgsIn = st.BytesIn+bytes, st.FragsIn+frags, st.MsgsIn+msgs
+		} else {
+			st.BytesOut, st.FragsOut, st.MsgsOut = st.BytesOut+bytes, st.FragsOut+frags, st.MsgsOut+msgs
+		}
+	}
+
+	// traffic schedules one requirement field's messages. need(c) is the
+	// part of color c's set of inst that owner places elsewhere (nothing
+	// when c's instance subregion in p is empty); c pulls it before the
+	// launch (ghosts) or pushes it after (write-backs). Every message
+	// carries need(c) ∩ owner.Sub(o) between c and an owner o: node j
+	// evaluates it as c against every owner and as o against every peer.
+	// The side that pulls or pushes pays for its whole remote set, the
+	// other side for its piece. It returns need(j).
+	traffic := func(tag tagKey, pull bool, p, inst, owner *region.Partition) geometry.IndexSet {
+		need := func(c int) geometry.IndexSet {
+			if p.Sub(c).Empty() {
+				return geometry.IndexSet{}
+			}
+			return inst.Sub(c).Subtract(owner.Sub(c))
+		}
+		remote := need(j)
+		move := func(c, o int, list *[]transfer) geometry.IndexSet {
+			nc := remote
+			if c != j {
+				nc = need(c)
+			}
+			set := nc.Intersect(owner.Sub(o))
+			if !set.Empty() {
+				tr := transfer{tag: tag, to: o, set: set}
+				tr.tag.from = c
+				if pull {
+					tr.tag.from, tr.to = o, c
+				}
+				*list = append(*list, tr)
+			}
+			return set
+		}
+		mine, theirs := &sc.backsOut, &sc.backsIn
+		if pull {
+			mine, theirs = &sc.ghostsIn, &sc.ghostsOut
+		}
+		msgs := 0
+		for k := 0; k < cfg.Nodes; k++ {
+			if k == j {
 				continue
 			}
-			st.BytesIn += float64(remote.Len()) * bpe
-			st.FragsIn += remote.NumIntervals()
-			covered := geometry.IndexSet{}
-			for _, pc := range region.SplitByOwner(remote, owner) {
-				sc.ghosts = append(sc.ghosts, depSpec{
-					key: tagKey{ghostMsg, step, li, ri, req.Region, f, pc.Color},
-					set: pc.Set,
-					fk:  rewrite.FieldKey{Region: req.Region, Field: f},
-				})
-				st.MsgsIn++
-				covered = covered.Union(pc.Set)
+			if !remote.Empty() && !move(j, k, mine).Empty() {
+				msgs++
 			}
-			if !covered.Equal(remote) {
-				return nil, fmt.Errorf("no valid copy of %s.%s for ghost set %s (owner covers only %s)",
-					req.Region, f, remote, covered)
+			if !owner.Sub(j).Empty() {
+				if set := move(k, j, theirs); !set.Empty() {
+					pay(!pull, set, 1)
+				}
 			}
 		}
+		if !remote.Empty() {
+			pay(pull, remote, msgs)
+		}
+		return remote
 	}
 
-	// Write-back dependencies: guarded ships and buffer merges landing
-	// on elements this node owns, plus the folds that consume them.
-	foldSeen := map[rewrite.FieldKey]bool{}
-	for ri, req := range l.Reqs {
-		if req.Priv != runtime.Reduce {
-			continue
-		}
-		p := parts[req.Sym]
-		if req.Guarded {
-			for _, f := range req.Fields {
-				owner, err := n.postOwnerOf(l, req.Region, f)
-				if err != nil {
-					return nil, err
-				}
-				fk := rewrite.FieldKey{Region: req.Region, Field: f}
-				for k := 0; k < n.nodes(); k++ {
-					if k == j {
-						continue
-					}
-					piece := p.Sub(k).Subtract(owner.Sub(k)).Intersect(owner.Sub(j))
-					if piece.Empty() {
-						continue
-					}
-					sc.backs = append(sc.backs, depSpec{
-						key: tagKey{shipMsg, step, li, ri, req.Region, f, k},
-						set: piece,
-						fk:  fk,
-					})
-					sc.touches[fk] = true
-					st.BytesIn += float64(piece.Len()) * bpe
-					st.FragsIn += piece.NumIntervals()
-					st.MsgsIn++
-				}
+	for ri, req := range t.Launch.Reqs {
+		p, inst := parts[req.Sym], parts[req.Sym]
+		buffered := req.Priv == runtime.Reduce && !req.Guarded
+		if buffered {
+			if req.TouchedSym != "" {
+				inst = parts[req.TouchedSym]
 			}
-			continue
-		}
-		touched := p
-		if req.TouchedSym != "" {
-			touched = parts[req.TouchedSym]
+			// The buffer covers the instance subregion minus the §5.2
+			// private sub-partition (private elements reduce directly into
+			// the local instance).
+			if sub := p.Sub(j); !sub.Empty() {
+				if req.PrivateSym != "" {
+					sub = sub.Subtract(parts[req.PrivateSym].Sub(j))
+				}
+				st.BufferElems += float64(sub.Len()) * float64(len(req.Fields))
+			}
 		}
 		for _, f := range req.Fields {
-			owner, err := n.postOwnerOf(l, req.Region, f)
-			if err != nil {
-				return nil, err
+			key := sim.FieldKey{Region: req.Region, Field: f}
+			owner := entry[key]
+			if owner == nil {
+				return nil, fmt.Errorf("no owner for %s.%s", req.Region, f)
 			}
+			tag := tagKey{step: step, launch: li, req: ri, region: req.Region, field: f}
+			if needsFetch(req) {
+				tag.kind = ghostMsg
+				if remote := traffic(tag, true, p, p, owner); !remote.SubsetOf(owner.UnionAll()) {
+					return nil, fmt.Errorf("no valid copy of %s.%s for ghost set %s (owner covers only %s)",
+						req.Region, f, remote, remote.Intersect(owner.UnionAll()))
+				}
+			}
+			if req.Priv != runtime.Reduce {
+				continue
+			}
+			// Write-backs land on the copies later launches and the final
+			// gather read: the owner after this launch's own writes.
+			// Routing them by the entry owner folds contributions into
+			// replicas that stop being authoritative when the launch
+			// completes — differential fuzzing caught exactly that with a
+			// centered and an uncentered reduction of one field sharing a
+			// launch.
+			if post := moved[key]; post != nil {
+				owner = post
+			}
+			if !buffered {
+				tag.kind = shipMsg
+				if remote := traffic(tag, false, p, p, owner); !remote.SubsetOf(owner.UnionAll()) {
+					return nil, fmt.Errorf("guarded write-back of %s.%s would lose updates on unowned set %s",
+						req.Region, f, remote.Subtract(owner.UnionAll()))
+				}
+				continue
+			}
+			// A launch may reduce into one field through several instance
+			// partitions (circuit's wire endpoints): messages and charges
+			// stay per requirement, as sim prices them, while the shard
+			// buffer, its reach and its fold are per field. touches holds
+			// only fold fields until the ships join it below.
+			tag.kind = mergeMsg
+			remote := traffic(tag, false, p, inst, owner)
 			fk := rewrite.FieldKey{Region: req.Region, Field: f}
-			if !foldSeen[fk] {
-				foldSeen[fk] = true
-				sc.folds = append(sc.folds, foldSpec{fk: fk, op: req.ReduceOp, own: owner.Sub(j)})
+			if !sc.touches[fk] {
 				sc.touches[fk] = true
+				sc.folds = append(sc.folds, foldSpec{fk: fk, op: req.ReduceOp, own: owner.Sub(j)})
 			}
-			for k := 0; k < n.nodes(); k++ {
-				if k == j {
-					continue
-				}
-				if p.Sub(k).Empty() {
-					continue
-				}
-				piece := touched.Sub(k).Subtract(owner.Sub(k)).Intersect(owner.Sub(j))
-				if piece.Empty() {
-					continue
-				}
-				sc.backs = append(sc.backs, depSpec{
-					key: tagKey{mergeMsg, step, li, ri, req.Region, f, k},
-					set: piece,
-					fk:  fk,
-				})
-				st.BytesIn += float64(piece.Len()) * bpe
-				st.FragsIn += piece.NumIntervals()
-				st.MsgsIn++
+			if !p.Sub(j).Empty() {
+				sc.reach[fk] = sc.reach[fk].Union(owner.Sub(j)).Union(remote.Intersect(owner.UnionAll()))
 			}
 		}
 	}
+	for _, tr := range sc.backsIn {
+		sc.touches[tr.tag.fk()] = true
+	}
 	return sc, nil
+}
+
+// needsFetch reports whether a requirement pulls ghost data before the
+// launch: reads do, and §5.1 guarded reductions read-modify-write their
+// targets in place. WriteDiscard and buffered reductions never fetch.
+func needsFetch(req runtime.Requirement) bool {
+	switch req.Priv {
+	case runtime.ReadOnly, runtime.ReadWrite:
+		return true
+	case runtime.Reduce:
+		return req.Guarded
+	}
+	return false
 }
 
 // launchFields collects every field a launch's requirements name, in

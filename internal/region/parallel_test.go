@@ -65,7 +65,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestUnionCacheSharedByRename asserts Rename reuses the lazily computed
-// union and disjointness rather than recomputing them.
+// union, disjointness and owner view rather than recomputing them.
 func TestUnionCacheSharedByRename(t *testing.T) {
 	r := New("R", 128)
 	p := Equal("p", r, 4)
@@ -79,5 +79,14 @@ func TestUnionCacheSharedByRename(t *testing.T) {
 	}
 	if !p.IsDisjoint() || !renamed.union.disjoint {
 		t.Fatal("Rename should share the cached disjointness")
+	}
+	if p.OwnerView() != p {
+		t.Fatal("a disjoint partition should be its own owner view")
+	}
+	aliased := NewPartition("a", r, []geometry.IndexSet{geometry.Range(0, 64), geometry.Range(32, 128)})
+	own, renamedOwn := aliased.OwnerView(), aliased.Rename("a2").OwnerView()
+	if own.Name() != "a_own" || renamedOwn.Name() != "a2_own" || !own.SamePartition(Disjointify("d", aliased)) ||
+		&own.Subs()[0] != &renamedOwn.Subs()[0] {
+		t.Fatalf("owner views %v and %v are not one cached disjointification", own, renamedOwn)
 	}
 }

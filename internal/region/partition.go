@@ -17,8 +17,8 @@ type Partition struct {
 	name   string
 	parent *Region
 	subs   []geometry.IndexSet
-	// union lazily caches UnionAll and IsDisjoint; shared by Rename
-	// views (the subregions are immutable, so both are too).
+	// union lazily caches UnionAll, IsDisjoint and OwnerView; shared by
+	// Rename views (the subregions are immutable, so all three are too).
 	union *unionCache
 }
 
@@ -27,6 +27,8 @@ type unionCache struct {
 	set          geometry.IndexSet
 	disjointOnce sync.Once
 	disjoint     bool
+	ownerOnce    sync.Once
+	owner        *Partition
 }
 
 func newPartition(name string, parent *Region, subs []geometry.IndexSet) *Partition {
@@ -64,14 +66,34 @@ func (p *Partition) Subs() []geometry.IndexSet { return p.subs }
 
 // IsDisjoint reports whether the subregions are pairwise disjoint
 // (the DISJ predicate), in one sorted sweep over all intervals, computed
-// once and cached: the executor derives owner views (sim.OwnerView) from
-// the same partitions on every node at every launch.
+// once and cached: every executor node derives owner views from the same
+// partitions.
 func (p *Partition) IsDisjoint() bool {
 	if p.union == nil {
 		return geometry.DisjointAll(p.subs)
 	}
 	p.union.disjointOnce.Do(func() { p.union.disjoint = geometry.DisjointAll(p.subs) })
 	return p.union.disjoint
+}
+
+// OwnerView derives the owner (valid-instance) distribution from a
+// writing partition: the partition itself when already disjoint,
+// otherwise its deterministic first-color disjointification, named
+// p's name + "_own". Owner maps must assign each element exactly one
+// owner — fold routing, ghost need-sets, and the final gather all rely
+// on it — while writing partitions may alias (every aliased writer
+// computes the same value under snapshot semantics, so the first
+// color's copy stands for all). The disjointification is computed once
+// and shared by Rename views.
+func (p *Partition) OwnerView() *Partition {
+	if p.IsDisjoint() {
+		return p
+	}
+	if p.union == nil {
+		return Disjointify(p.name+"_own", p)
+	}
+	p.union.ownerOnce.Do(func() { p.union.owner = Disjointify("", p) })
+	return p.union.owner.Rename(p.name + "_own")
 }
 
 // IsComplete reports whether the union of subregions covers the parent

@@ -10,30 +10,6 @@ import (
 	"autopart/internal/region"
 )
 
-// Executor runs parallel loops against concrete regions and partitions
-// with parallel semantics: each task (color) reads the launch-entry
-// snapshot plus its own writes, writes flush at task end, and uncentered
-// reduction contributions collect in per-task buffers merged after all
-// tasks. Every access is containment-checked against the task's
-// subregion; a violation means the partitioning was unsound and aborts
-// the launch.
-type Executor struct {
-	M *ir.Machine
-	// Parts binds canonical partition symbols to evaluated partitions.
-	Parts map[string]*region.Partition
-}
-
-// NewExecutor creates an executor over a machine.
-func NewExecutor(m *ir.Machine) *Executor {
-	return &Executor{M: m, Parts: map[string]*region.Partition{}}
-}
-
-// Bind registers an evaluated partition.
-func (ex *Executor) Bind(sym string, p *region.Partition) *Executor {
-	ex.Parts[sym] = p
-	return ex
-}
-
 // FieldKey identifies a region field.
 type FieldKey struct{ Region, Field string }
 
@@ -48,9 +24,9 @@ type ReduceBuffer struct {
 // loop against a stable snapshot: the task's private writes (plain
 // stores, centered reductions, and §5.1 guarded in-place reductions) and
 // its uncentered reduction contributions. Nothing is applied to any
-// machine — the caller decides how: the sequential Executor flushes
-// shards in ascending color order and merges buffers after the launch;
-// the distributed executor ships remote-owned pieces to their owners.
+// machine — the caller decides how: RunLaunch flushes shards in
+// ascending color order and merges buffers after the launch; the
+// distributed executor ships remote-owned pieces to their owners.
 type ShardResult struct {
 	Scalars    map[FieldKey]map[int64]float64
 	Indexes    map[FieldKey]map[int64]int64
@@ -58,9 +34,15 @@ type ShardResult struct {
 }
 
 // RunLaunch executes one parallel loop over all colors of its iteration
-// partition.
-func (ex *Executor) RunLaunch(pl *ParallelLoop) error {
-	iter, ok := ex.Parts[pl.IterSym]
+// partition against m, with parts binding canonical partition symbols
+// to evaluated partitions. Semantics are parallel: each task (color)
+// reads the launch-entry snapshot plus its own writes, writes flush at
+// task end, and uncentered reduction contributions collect in per-task
+// buffers merged after all tasks. Every access is containment-checked
+// against the task's subregion; a violation means the partitioning was
+// unsound and aborts the launch.
+func RunLaunch(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoop) error {
+	iter, ok := parts[pl.IterSym]
 	if !ok {
 		return fmt.Errorf("launch %s: unbound iteration partition %q", pl, pl.IterSym)
 	}
@@ -68,24 +50,24 @@ func (ex *Executor) RunLaunch(pl *ParallelLoop) error {
 	// Launch-entry snapshot of every region (tasks read this, not each
 	// other's writes).
 	snapshot := map[string]*region.Region{}
-	for name, r := range ex.M.Regions {
+	for name, r := range m.Regions {
 		snapshot[name] = r.CloneData()
 	}
-	snapM := &ir.Machine{Regions: snapshot, Funcs: ex.M.Funcs, Partitions: ex.M.Partitions}
+	snapM := &ir.Machine{Regions: snapshot, Funcs: m.Funcs, Partitions: m.Partitions}
 
 	perColor := make([]map[FieldKey]*ReduceBuffer, iter.NumSubs())
 	for color := 0; color < iter.NumSubs(); color++ {
-		res, err := RunShard(snapM, ex.Parts, pl, color)
+		res, err := RunShard(snapM, parts, pl, color)
 		if err != nil {
 			return err
 		}
 		// Flush in task order (overlapping aliased writes resolve
 		// last-color-wins).
-		FlushShard(ex.M, res)
+		FlushShard(m, res)
 		perColor[color] = res.Reductions
 	}
 
-	MergeShardReductions(ex.M, perColor)
+	MergeShardReductions(m, perColor)
 	return nil
 }
 

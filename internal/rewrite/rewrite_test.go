@@ -141,11 +141,12 @@ func TestExecutorContainmentViolation(t *testing.T) {
 	}
 	m := ir.NewMachine().AddRegion(faces).AddRegion(cells)
 
-	ex := NewExecutor(m)
-	// Iteration partition: everything in color 0.
-	ex.Bind(pl.IterSym, region.NewPartition("iter", faces, []geometry.IndexSet{
-		geometry.Range(0, 8), {},
-	}))
+	parts := map[string]*region.Partition{
+		// Iteration partition: everything in color 0.
+		pl.IterSym: region.NewPartition("iter", faces, []geometry.IndexSet{
+			geometry.Range(0, 8), {},
+		}),
+	}
 	// Bind every other symbol to an empty-ish partition to provoke the
 	// containment check.
 	for _, sym := range pl.Symbols()[1:] {
@@ -158,11 +159,11 @@ func TestExecutorContainmentViolation(t *testing.T) {
 		if parent == nil {
 			parent = faces
 		}
-		ex.Bind(sym, region.NewPartition(sym, parent, []geometry.IndexSet{
+		parts[sym] = region.NewPartition(sym, parent, []geometry.IndexSet{
 			geometry.Range(0, 1), {},
-		}))
+		})
 	}
-	err := ex.RunLaunch(pl)
+	err := RunLaunch(m, parts, pl)
 	if err == nil || !strings.Contains(err.Error(), "escapes subregion") {
 		t.Fatalf("expected containment violation, got %v", err)
 	}
@@ -171,9 +172,7 @@ func TestExecutorContainmentViolation(t *testing.T) {
 func TestExecutorUnboundPartitions(t *testing.T) {
 	plans, sol, priv := compile(t, reduceSrc, false)
 	pl := Build(plans, sol, priv)[0]
-	m := ir.NewMachine()
-	ex := NewExecutor(m)
-	if err := ex.RunLaunch(pl); err == nil || !strings.Contains(err.Error(), "unbound iteration partition") {
+	if err := RunLaunch(ir.NewMachine(), map[string]*region.Partition{}, pl); err == nil || !strings.Contains(err.Error(), "unbound iteration partition") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -223,7 +222,7 @@ func TestExecutorMalformedLoops(t *testing.T) {
 			cells := region.New("Cells", 2)
 			cells.AddScalarField("res")
 			m := ir.NewMachine().AddRegion(faces).AddRegion(cells)
-			ex := NewExecutor(m)
+			parts := map[string]*region.Partition{}
 			for _, sym := range pl.Symbols() {
 				parent := faces
 				for _, info := range pl.Access {
@@ -231,7 +230,7 @@ func TestExecutorMalformedLoops(t *testing.T) {
 						parent = cells
 					}
 				}
-				ex.Bind(sym, region.NewPartition(sym, parent, []geometry.IndexSet{parent.Space()}))
+				parts[sym] = region.NewPartition(sym, parent, []geometry.IndexSet{parent.Space()})
 			}
 			tc.edit(m, pl)
 			var stmt ir.Stmt
@@ -246,7 +245,7 @@ func TestExecutorMalformedLoops(t *testing.T) {
 						err = fmt.Errorf("panic: %v", r)
 					}
 				}()
-				return ex.RunLaunch(pl)
+				return RunLaunch(m, parts, pl)
 			}()
 			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), stmt.String()) {
 				t.Fatalf("err = %v, want an error naming %q with %q", err, stmt, tc.want)
@@ -270,11 +269,12 @@ func TestExecutorReductionBufferMerge(t *testing.T) {
 	copy(faces.Scalar("flux"), []float64{1, 2, 4, 8})
 	m := ir.NewMachine().AddRegion(faces).AddRegion(cells)
 
-	ex := NewExecutor(m)
-	// Tasks split faces 0..1 / 2..3; both touch cell 0.
-	ex.Bind(pl.IterSym, region.NewPartition("iter", faces, []geometry.IndexSet{
-		geometry.Range(0, 2), geometry.Range(2, 4),
-	}))
+	parts := map[string]*region.Partition{
+		// Tasks split faces 0..1 / 2..3; both touch cell 0.
+		pl.IterSym: region.NewPartition("iter", faces, []geometry.IndexSet{
+			geometry.Range(0, 2), geometry.Range(2, 4),
+		}),
+	}
 	full := []geometry.IndexSet{geometry.Range(0, 2), geometry.Range(0, 2)}
 	fullFaces := []geometry.IndexSet{geometry.Range(0, 4), geometry.Range(0, 4)}
 	for _, sym := range pl.Symbols()[1:] {
@@ -285,12 +285,12 @@ func TestExecutorReductionBufferMerge(t *testing.T) {
 			}
 		}
 		if parent == cells {
-			ex.Bind(sym, region.NewPartition(sym, cells, full))
+			parts[sym] = region.NewPartition(sym, cells, full)
 		} else {
-			ex.Bind(sym, region.NewPartition(sym, faces, fullFaces))
+			parts[sym] = region.NewPartition(sym, faces, fullFaces)
 		}
 	}
-	if err := ex.RunLaunch(pl); err != nil {
+	if err := RunLaunch(m, parts, pl); err != nil {
 		t.Fatal(err)
 	}
 	if got := cells.Scalar("res"); got[0] != 7 || got[1] != 8 {

@@ -113,20 +113,6 @@ func NewState() *State {
 	return &State{Owners: map[FieldKey]*region.Partition{}}
 }
 
-// OwnerView derives the owner (valid-instance) distribution from a
-// writing partition: the partition itself when already disjoint,
-// otherwise its deterministic first-color disjointification. Owner maps
-// must assign each element exactly one owner — fold routing, ghost
-// need-sets, and the final gather all rely on it — while writing
-// partitions may alias (every aliased writer computes the same value
-// under snapshot semantics, so the first color's copy stands for all).
-func OwnerView(p *region.Partition) *region.Partition {
-	if p.IsDisjoint() {
-		return p
-	}
-	return region.Disjointify(p.Name()+"_own", p)
-}
-
 // Own sets the owner partition of one field.
 func (s *State) Own(regionName, field string, p *region.Partition) *State {
 	s.Owners[FieldKey{regionName, field}] = p
@@ -296,7 +282,7 @@ func (m Model) runLaunch(l *runtime.Launch, parts map[string]*region.Partition, 
 		// when the writing partition aliases).
 		if req.Priv == runtime.ReadWrite || req.Priv == runtime.WriteDiscard {
 			for _, field := range req.Fields {
-				st.Owners[FieldKey{req.Region, field}] = OwnerView(p)
+				st.Owners[FieldKey{req.Region, field}] = p.OwnerView()
 			}
 		}
 	}

@@ -10,7 +10,7 @@
 //	              → private sub-partitions → parallel loops
 //	NewContext    wire concrete regions and index maps for DPL evaluation
 //	Evaluate      run the DPL program, producing concrete partitions
-//	NewExecutor   run the parallel loops with parallel semantics
+//	RunParallel   run the parallel loops with parallel semantics
 package autopart
 
 import (
@@ -211,15 +211,6 @@ func (c *Compiled) Evaluate(ctx *dpl.Context) (map[string]*region.Partition, err
 	return parts, nil
 }
 
-// NewExecutor wires an executor with all evaluated partitions bound.
-func (c *Compiled) NewExecutor(m *ir.Machine, parts map[string]*region.Partition) *rewrite.Executor {
-	ex := rewrite.NewExecutor(m)
-	for sym, p := range parts {
-		ex.Bind(sym, p)
-	}
-	return ex
-}
-
 // RunParallel executes every parallel loop once (one outer "main loop"
 // iteration), in program order. Partitions are re-evaluated before each
 // launch, mirroring dependent partitioning semantics: a launch that
@@ -238,8 +229,7 @@ func (c *Compiled) RunParallel(m *ir.Machine, colors int, external map[string]*r
 		if err != nil {
 			return err
 		}
-		ex := c.NewExecutor(m, parts)
-		if err := ex.RunLaunch(pl); err != nil {
+		if err := rewrite.RunLaunch(m, parts, pl); err != nil {
 			return fmt.Errorf("%s: %w", pl, err)
 		}
 	}
