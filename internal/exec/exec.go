@@ -4,8 +4,15 @@
 // package rewrite checks it sequentially).
 //
 // Each node owns the subregions the solved partitions assign to its
-// color and holds a full-size local copy of every region, of which only
-// the owned elements (plus freshly fetched ghosts) are valid.
+// color and holds one window of each region: a copy of the interval
+// [lo, hi) that covers the node's subregion of every partition its
+// launches name on the region and of every owner the run passes
+// through — never the whole region. Within the window only the owned
+// elements (plus freshly fetched ghosts) are valid. A set outside the
+// window is a named error before any message moves, never an index
+// panic. A cmd/node worker still receives the whole machine in its
+// program blob; the window bounds what the node holds while it runs.
+//
 // Valid-instance tracking mirrors package sim exactly: a field's owner
 // partition says which node holds each element's up-to-date value,
 // writes move ownership to the writing partition, and ghosts are
@@ -20,12 +27,13 @@
 // first send, each node derives its whole protocol from read-only
 // metadata — the partitions and one replay of the owner map
 // (evolveOwners) — as the exact messages it sends and receives at every
-// (step, launch) (see schedule). It then issues all of a launch's sends
-// before blocking on any receive, and starts the shard the moment its
-// last ghost dependency lands. Write-back receives and reduction folds
-// are deferred until a later launch touches the fields they write (or
-// the run ends), so a launch whose fields are disjoint from in-flight
-// write-backs computes while that communication is still in the air.
+// (step, launch), and as its windows (see schedule). It then issues all
+// of a launch's sends before blocking on any receive, and starts the
+// shard the moment its last ghost dependency lands. Write-back receives
+// and reduction folds are deferred until a later launch touches the
+// fields they write (or the run ends), so a launch whose fields are
+// disjoint from in-flight write-backs computes while that communication
+// is still in the air.
 // Deadlock freedom: sends never block (transports buffer unboundedly),
 // so the only waits are receives, and every expected message is sent
 // by a peer deriving its schedule from the same metadata. Determinism
@@ -139,20 +147,6 @@ func (r *Result) TotalMsgs() int {
 	return total
 }
 
-// cloneMachine deep-clones region data, sharing the immutable funcs and
-// extern partitions.
-func cloneMachine(m *ir.Machine) *ir.Machine {
-	out := &ir.Machine{
-		Regions:    map[string]*region.Region{},
-		Funcs:      m.Funcs,
-		Partitions: m.Partitions,
-	}
-	for name, r := range m.Regions {
-		out.Regions[name] = r.CloneData()
-	}
-	return out
-}
-
 // validate checks the program against the config before spawning nodes.
 func validate(prog *Program, cfg Config) error {
 	if cfg.Nodes < 1 {
@@ -240,7 +234,6 @@ func RunNode(prog *Program, cfg Config, id int, tr Transport) (*NodeResult, erro
 		id:    id,
 		cfg:   cfg,
 		prog:  prog,
-		m:     cloneMachine(prog.Machine),
 		tr:    tr,
 		mb:    newMailbox(),
 		stats: make([][]sim.NodeStats, cfg.Steps),
@@ -284,7 +277,7 @@ func RunNode(prog *Program, cfg Config, id int, tr Transport) (*NodeResult, erro
 		if r == nil {
 			return nil, fmt.Errorf("exec: gather: owner declared for unknown region %q", fo.key.Region)
 		}
-		msg, err := packField(r, fo.key.Field, fo.owner.Sub(id))
+		msg, err := packField(id, r, fo.key.Field, fo.owner.Sub(id))
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +316,7 @@ func AssembleResult(prog *Program, cfg Config, results []*NodeResult) (*Result, 
 		}
 	}
 
-	final := cloneMachine(prog.Machine)
+	final := prog.Machine.Clone()
 	for i, fo := range fos {
 		out := final.Regions[fo.key.Region]
 		if out == nil {
@@ -335,7 +328,7 @@ func AssembleResult(prog *Program, cfg Config, results []*NodeResult) (*Result, 
 				return nil, fmt.Errorf("exec: assemble: node %d piece %d is %s.%s %s, want %s.%s %s",
 					c, i, piece.region, piece.field, piece.set, fo.key.Region, fo.key.Field, fo.owner.Sub(c))
 			}
-			if err := installField(out, fo.key.Field, piece); err != nil {
+			if err := installField(c, out, fo.key.Field, piece); err != nil {
 				return nil, err
 			}
 		}
@@ -425,7 +418,7 @@ func RunSequentialReference(prog *Program, steps int) (*ir.Machine, error) {
 	if steps <= 0 {
 		steps = 1
 	}
-	m := cloneMachine(prog.Machine)
+	m := prog.Machine.Clone()
 	for s := 0; s < steps; s++ {
 		for _, t := range prog.Plan.Tasks {
 			if err := rewrite.RunLaunch(m, prog.Parts, t.Loop); err != nil {

@@ -5,12 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	goruntime "runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"autopart/internal/apps/circuit"
 	"autopart/internal/apps/miniaero"
@@ -344,22 +342,10 @@ func TestMissingOwnerFailsBeforeSending(t *testing.T) {
 	}
 	prog.Owners = owners
 
-	before := goruntime.NumGoroutine()
-	var rec exec.SendRecorder
-	_, err = exec.Run(prog, exec.Config{Nodes: nodes, Transport: rec.Wrap(exec.InprocTransport())})
+	err = runFailsBeforeSending(t, prog, nodes)
 	want := fmt.Sprintf("no owner for %s.%s", victim.Region, victim.Field)
-	if err == nil || !strings.Contains(err.Error(), want) {
+	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("Run error = %v, want one naming %q", err, want)
-	}
-	if sent := rec.Sent(); len(sent) != 0 {
-		t.Errorf("%d messages sent before the run failed, want 0 (first: %+v)", len(sent), sent[0])
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := goruntime.NumGoroutine(); after > before {
-		t.Errorf("goroutines leaked: %d before the run, %d after", before, after)
 	}
 }
 

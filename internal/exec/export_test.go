@@ -1,6 +1,53 @@
 package exec
 
-import "sync"
+import (
+	"sync"
+
+	"autopart/internal/geometry"
+)
+
+// ErrOutsideWindow is the error a set outside a node's window wraps.
+var ErrOutsideWindow = errOutsideWindow
+
+// Touch is one element set of one region that a node's run reads or
+// writes, and what it is.
+type Touch struct {
+	What, Region string
+	Set          geometry.IndexSet
+}
+
+// NodeWindows derives node j's schedule and returns its window of each
+// region with every set the run touches, listed independently of the
+// schedule's own check: each transfer, fold owned part, merge reach,
+// access-plan subregion and final gather piece.
+func NodeWindows(prog *Program, cfg Config, j int) (map[string]geometry.Interval, []Touch, error) {
+	applyDefaults(&cfg)
+	scheds, final, win, err := schedule(prog, cfg, j)
+	if err != nil {
+		return nil, nil, err
+	}
+	var out []Touch
+	for _, sc := range scheds {
+		for _, list := range [][]transfer{sc.ghostsOut, sc.ghostsIn, sc.backsOut, sc.backsIn} {
+			for _, tr := range list {
+				out = append(out, Touch{tr.tag.String(), tr.tag.region, tr.set})
+			}
+		}
+		for _, fs := range sc.folds {
+			out = append(out, Touch{"fold of " + fs.fk.Field, fs.fk.Region, fs.own})
+		}
+		for fk, set := range sc.reach {
+			out = append(out, Touch{"reach of " + fk.Field, fk.Region, set})
+		}
+		for st, a := range sc.task.Loop.Access {
+			out = append(out, Touch{"access " + st.String(), a.Region, prog.Parts[a.Sym].Sub(j)})
+		}
+	}
+	for _, fo := range final {
+		out = append(out, Touch{"final piece of " + fo.key.Field, fo.key.Region, fo.owner.Sub(j)})
+	}
+	return win, out, nil
+}
 
 // SentMsg is what a test sees of one message a node handed its
 // transport: the pair, the launch it belongs to, its kind (ghost, ship

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"autopart/internal/geometry"
@@ -70,23 +71,28 @@ type message struct {
 	present []bool
 }
 
-// checkTag verifies a received message is the one the deterministic
-// protocol schedule expects.
-func (m *message) checkTag(kind msgKind, step, launch, req int, regionName, field string, set geometry.IndexSet) error {
-	if m.kind != kind || m.step != step || m.launch != launch || m.req != req ||
-		m.region != regionName || m.field != field || !m.set.Equal(set) {
-		return fmt.Errorf("exec: protocol mismatch: got %s step=%d launch=%d req=%d %s.%s %s, want %s step=%d launch=%d req=%d %s.%s %s",
-			m.kind, m.step, m.launch, m.req, m.region, m.field, m.set,
-			kind, step, launch, req, regionName, field, set)
+// errOutsideWindow marks a set that reaches outside a node's window of
+// its region: elements the node holds no copy of.
+var errOutsideWindow = errors.New("exec: set outside the node's window")
+
+// windowErr reports a non-empty set that leaves node's window win of the
+// named region.
+func windowErr(node int, name string, win geometry.Interval, set geometry.IndexSet) error {
+	if b, ok := set.Bounds(); ok && (b.Lo < win.Lo || b.Hi > win.Hi) {
+		return fmt.Errorf("%w: node %d, region %s, window %s, set %s", errOutsideWindow, node, name, win, set)
 	}
 	return nil
 }
 
-// packField copies r's values over set into a fresh payload.
-func packField(r *region.Region, field string, set geometry.IndexSet) (msg message, err error) {
+// packField copies node's values of r over set into a fresh payload.
+func packField(node int, r *region.Region, field string, set geometry.IndexSet) (msg message, err error) {
 	kind, ok := r.FieldKindOf(field)
 	if !ok {
 		return msg, fmt.Errorf("exec: pack: unknown field %s.%s", r.Name(), field)
+	}
+	win := r.Window()
+	if err := windowErr(node, r.Name(), win, set); err != nil {
+		return msg, err
 	}
 	n := int(set.Len())
 	switch kind {
@@ -94,7 +100,7 @@ func packField(r *region.Region, field string, set geometry.IndexSet) (msg messa
 		data := r.Scalar(field)
 		out := make([]float64, 0, n)
 		set.EachInterval(func(iv geometry.Interval) bool {
-			out = append(out, data[iv.Lo:iv.Hi]...)
+			out = append(out, data[iv.Lo-win.Lo:iv.Hi-win.Lo]...)
 			return true
 		})
 		msg.scalars = out
@@ -102,7 +108,7 @@ func packField(r *region.Region, field string, set geometry.IndexSet) (msg messa
 		data := r.Index(field)
 		out := make([]int64, 0, n)
 		set.EachInterval(func(iv geometry.Interval) bool {
-			out = append(out, data[iv.Lo:iv.Hi]...)
+			out = append(out, data[iv.Lo-win.Lo:iv.Hi-win.Lo]...)
 			return true
 		})
 		msg.indexes = out
@@ -110,7 +116,7 @@ func packField(r *region.Region, field string, set geometry.IndexSet) (msg messa
 		data := r.Ranges(field)
 		out := make([]geometry.Interval, 0, n)
 		set.EachInterval(func(iv geometry.Interval) bool {
-			out = append(out, data[iv.Lo:iv.Hi]...)
+			out = append(out, data[iv.Lo-win.Lo:iv.Hi-win.Lo]...)
 			return true
 		})
 		msg.ranges = out
@@ -119,11 +125,16 @@ func packField(r *region.Region, field string, set geometry.IndexSet) (msg messa
 	return msg, nil
 }
 
-// installField writes a received payload into r's values over msg.set.
-func installField(r *region.Region, field string, msg *message) error {
+// installField writes a received payload into node's values of r over
+// msg.set.
+func installField(node int, r *region.Region, field string, msg *message) error {
 	kind, ok := r.FieldKindOf(field)
 	if !ok {
 		return fmt.Errorf("exec: install: unknown field %s.%s", r.Name(), field)
+	}
+	win := r.Window()
+	if err := windowErr(node, r.Name(), win, msg.set); err != nil {
+		return err
 	}
 	pos := 0
 	switch kind {
@@ -133,7 +144,7 @@ func installField(r *region.Region, field string, msg *message) error {
 		}
 		data := r.Scalar(field)
 		msg.set.EachInterval(func(iv geometry.Interval) bool {
-			pos += copy(data[iv.Lo:iv.Hi], msg.scalars[pos:])
+			pos += copy(data[iv.Lo-win.Lo:iv.Hi-win.Lo], msg.scalars[pos:])
 			return true
 		})
 	case region.IndexField:
@@ -142,7 +153,7 @@ func installField(r *region.Region, field string, msg *message) error {
 		}
 		data := r.Index(field)
 		msg.set.EachInterval(func(iv geometry.Interval) bool {
-			pos += copy(data[iv.Lo:iv.Hi], msg.indexes[pos:])
+			pos += copy(data[iv.Lo-win.Lo:iv.Hi-win.Lo], msg.indexes[pos:])
 			return true
 		})
 	case region.RangeField:
@@ -151,7 +162,7 @@ func installField(r *region.Region, field string, msg *message) error {
 		}
 		data := r.Ranges(field)
 		msg.set.EachInterval(func(iv geometry.Interval) bool {
-			pos += copy(data[iv.Lo:iv.Hi], msg.ranges[pos:])
+			pos += copy(data[iv.Lo-win.Lo:iv.Hi-win.Lo], msg.ranges[pos:])
 			return true
 		})
 	}

@@ -5,14 +5,16 @@ import (
 	"time"
 
 	"autopart/internal/ir"
+	"autopart/internal/region"
 	"autopart/internal/rewrite"
 	"autopart/internal/sim"
 )
 
-// node is one SPMD executor node. It holds a full-size local copy of
-// every region (valid only on owned elements and fresh ghosts) and its
-// rows of the per-launch statistics. Nodes communicate exclusively
-// through the transport; no mutable state is shared.
+// node is one SPMD executor node. It holds one window of each region —
+// a copy of the interval of it that covers every element its schedule
+// moves and its shards reach, valid only on owned elements and fresh
+// ghosts — and its rows of the per-launch statistics. Nodes communicate
+// exclusively through the transport; no mutable state is shared.
 //
 // Execution is dependency-driven, not bulk-synchronous: the node derives
 // its whole schedule before its first send, so each launch's incoming
@@ -43,13 +45,20 @@ type pendingFinish struct {
 	res   *rewrite.ShardResult
 }
 
-// run derives the node's schedule, executes every launch of it, then
-// settles every deferred finish so the gather reads fully merged data.
-// It returns the final owners the gather packs.
+// run derives the node's schedule, copies its window of each region out
+// of the program's initial data, executes every launch of the schedule,
+// then settles every deferred finish so the gather reads fully merged
+// data. It returns the final owners the gather packs.
 func (n *node) run() ([]finalOwner, error) {
-	scheds, final, err := schedule(n.prog, n.cfg, n.id)
+	scheds, final, win, err := schedule(n.prog, n.cfg, n.id)
 	if err != nil {
 		return nil, err
+	}
+	whole := n.prog.Machine
+	n.m = &ir.Machine{Regions: make(map[string]*region.Region, len(whole.Regions)), Funcs: whole.Funcs, Partitions: whole.Partitions}
+	for name, r := range whole.Regions {
+		w := win[name]
+		n.m.Regions[name] = r.CopyWindow(w.Lo, w.Hi)
 	}
 	for step := range n.times {
 		n.times[step] = make([]NodeTiming, len(n.prog.Plan.Tasks))
@@ -141,7 +150,7 @@ func (n *node) runLaunch(sc *launchSched) error {
 	start := time.Now()
 
 	for _, tr := range sc.ghostsOut {
-		msg, err := packField(n.m.Regions[tr.tag.region], tr.tag.field, tr.set)
+		msg, err := packField(n.id, n.m.Regions[tr.tag.region], tr.tag.field, tr.set)
 		if err != nil {
 			return err
 		}
@@ -152,7 +161,7 @@ func (n *node) runLaunch(sc *launchSched) error {
 		if err != nil {
 			return err
 		}
-		if err := installField(n.m.Regions[tr.tag.region], tr.tag.field, &msg); err != nil {
+		if err := installField(n.id, n.m.Regions[tr.tag.region], tr.tag.field, &msg); err != nil {
 			return err
 		}
 	}
@@ -183,7 +192,7 @@ func (n *node) runLaunch(sc *launchSched) error {
 	for _, tr := range sc.backsOut {
 		var msg message
 		if tr.tag.kind == shipMsg {
-			if msg, err = packField(n.m.Regions[tr.tag.region], tr.tag.field, tr.set); err != nil {
+			if msg, err = packField(n.id, n.m.Regions[tr.tag.region], tr.tag.field, tr.set); err != nil {
 				return err
 			}
 		} else {
@@ -259,7 +268,7 @@ func (n *node) finish(pf *pendingFinish) error {
 			return err
 		}
 		if tr.tag.kind == shipMsg {
-			if err := installField(n.m.Regions[tr.tag.region], tr.tag.field, &msg); err != nil {
+			if err := installField(n.id, n.m.Regions[tr.tag.region], tr.tag.field, &msg); err != nil {
 				return err
 			}
 			continue

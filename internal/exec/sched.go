@@ -18,8 +18,9 @@ import (
 // launch phases: before its first send, each node derives from the
 // program's metadata alone (partitions, and the owner map as
 // evolveOwners replays it) the exact messages it will send and receive
-// at every (step, launch), and a mailbox matches deliveries to those
-// expectations by tag in whatever order the transport produces them.
+// at every (step, launch) and the window of each region it must hold,
+// and a mailbox matches deliveries to those expectations by tag in
+// whatever order the transport produces them.
 // Because matching is content-addressed — never positional — any
 // delivery schedule yields the same data, which the flaky transport's
 // chaos testing relies on.
@@ -268,18 +269,58 @@ func evolveOwners(prog *Program, steps int, visit func(step, li int, t runtime.T
 }
 
 // schedule derives node j's whole protocol before its first send: one
-// launchSched per (step, launch) in run order, plus the final owners
-// its gather packs. A node derives only its own rows, O(n) set
-// operations per requirement field. It fails before any message moves
-// on a field without an owner, a ghost set no owner covers, or a
-// guarded write-back that would lose updates; some of these hold for
-// one node only.
-func schedule(prog *Program, cfg Config, j int) ([]*launchSched, []finalOwner, error) {
+// launchSched per (step, launch) in run order, the final owners its
+// gather packs, and its window of each region. A node derives only its
+// own rows, O(n) set operations per requirement field. It fails before
+// any message moves on a field without an owner, a ghost set no owner
+// covers, a guarded write-back that would lose updates, or a set the
+// node's window misses; some of these hold for one node only.
+//
+// A region's window is the hull, within the region's index space, of
+// the color-j subregion of every partition a launch names on it
+// (requirement, private, touched and access-plan partitions) and of
+// every owner the replay passes through. Every set the protocol moves
+// and every element a shard reaches lies in one of those, so the node
+// holds a copy of the window only, never of the whole region.
+func schedule(prog *Program, cfg Config, j int) ([]*launchSched, []finalOwner, map[string]geometry.Interval, error) {
 	var scheds []*launchSched
 	var err error
+	win := map[string]geometry.Interval{}
+	widen := func(name string, set geometry.IndexSet) {
+		r := prog.Machine.Regions[name]
+		b, ok := set.Bounds()
+		if r == nil || !ok {
+			return
+		}
+		if b = b.Intersect(geometry.Interval{Lo: 0, Hi: r.Size()}); b.Empty() {
+			return
+		}
+		if w, seen := win[name]; seen {
+			b = geometry.Interval{Lo: min(w.Lo, b.Lo), Hi: max(w.Hi, b.Hi)}
+		}
+		win[name] = b
+	}
+	widenSym := func(name, sym string) {
+		if p := prog.Parts[sym]; p != nil {
+			widen(name, p.Sub(j))
+		}
+	}
 	final := evolveOwners(prog, cfg.Steps, func(step, li int, t runtime.Task, entry, moved map[sim.FieldKey]*region.Partition) {
 		if err != nil {
 			return
+		}
+		for _, owners := range []map[sim.FieldKey]*region.Partition{entry, moved} {
+			for fk, p := range owners {
+				widen(fk.Region, p.Sub(j))
+			}
+		}
+		for _, req := range t.Launch.Reqs {
+			widenSym(req.Region, req.Sym)
+			widenSym(req.Region, req.PrivateSym)
+			widenSym(req.Region, req.TouchedSym)
+		}
+		for _, a := range t.Loop.Access {
+			widenSym(a.Region, a.Sym)
 		}
 		sc, lerr := scheduleLaunch(prog.Parts, cfg, j, step, li, t, entry, moved)
 		if lerr != nil {
@@ -288,7 +329,49 @@ func schedule(prog *Program, cfg Config, j int) ([]*launchSched, []finalOwner, e
 		}
 		scheds = append(scheds, sc)
 	})
-	return scheds, final, err
+	if err == nil {
+		err = checkWindows(prog.Parts, j, win, scheds, final)
+	}
+	return scheds, final, win, err
+}
+
+// checkWindows fails on the first set node j's schedule touches outside
+// its window of the set's region: a transfer, a fold's owned part, a
+// merge reach, an access plan's subregion, or a final gather piece.
+func checkWindows(parts map[string]*region.Partition, j int, win map[string]geometry.Interval, scheds []*launchSched, final []finalOwner) error {
+	check := func(name string, set geometry.IndexSet) error { return windowErr(j, name, win[name], set) }
+	for _, sc := range scheds {
+		for _, list := range [][]transfer{sc.ghostsOut, sc.ghostsIn, sc.backsOut, sc.backsIn} {
+			for _, tr := range list {
+				if err := check(tr.tag.region, tr.set); err != nil {
+					return err
+				}
+			}
+		}
+		for _, fs := range sc.folds {
+			if err := check(fs.fk.Region, fs.own); err != nil {
+				return err
+			}
+		}
+		for fk, set := range sc.reach {
+			if err := check(fk.Region, set); err != nil {
+				return err
+			}
+		}
+		for _, a := range sc.task.Loop.Access {
+			if p := parts[a.Sym]; p != nil {
+				if err := check(a.Region, p.Sub(j)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for _, fo := range final {
+		if err := check(fo.key.Region, fo.owner.Sub(j)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func scheduleLaunch(parts map[string]*region.Partition, cfg Config, j, step, li int, t runtime.Task, entry, moved map[sim.FieldKey]*region.Partition) (*launchSched, error) {

@@ -101,7 +101,7 @@ func RunExecOracle(sc *Scenario) *ExecReport {
 	}
 
 	// True-sequential execution on a private clone of the initial data.
-	mTrue := cloneMachine(m)
+	mTrue := m.Clone()
 	var trueErr error
 	for s := 0; s < sc.Spec.Steps && trueErr == nil; s++ {
 		trueErr = c.RunSequential(mTrue)
@@ -244,16 +244,4 @@ func withinULP(x, y float64, maxULP int64) bool {
 		d = -d
 	}
 	return d <= maxULP
-}
-
-// cloneMachine deep-clones region data, sharing immutable funcs and
-// partitions.
-func cloneMachine(m *ir.Machine) *ir.Machine {
-	out := ir.NewMachine()
-	for name, r := range m.Regions {
-		out.Regions[name] = r.CloneData()
-	}
-	out.Funcs = m.Funcs
-	out.Partitions = m.Partitions
-	return out
 }

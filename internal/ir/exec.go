@@ -26,6 +26,16 @@ func NewMachine() *Machine {
 	}
 }
 
+// Clone returns a machine holding a deep copy of every region's data and
+// sharing the immutable funcs and extern partitions.
+func (m *Machine) Clone() *Machine {
+	out := &Machine{Regions: make(map[string]*region.Region, len(m.Regions)), Funcs: m.Funcs, Partitions: m.Partitions}
+	for name, r := range m.Regions {
+		out.Regions[name] = r.CloneData()
+	}
+	return out
+}
+
 // AddRegion registers a region under its name.
 func (m *Machine) AddRegion(r *region.Region) *Machine {
 	m.Regions[r.Name()] = r

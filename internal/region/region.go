@@ -16,6 +16,7 @@ package region
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"autopart/internal/geometry"
@@ -50,16 +51,21 @@ func (k FieldKind) String() string {
 }
 
 // Region is a named, indexed collection of structured values over the
-// index space [0, Size).
+// index space [0, Size). A full region holds every element; a window
+// (see CopyWindow) holds only the elements of one interval of it.
 type Region struct {
-	name    string
-	size    int64
+	name string
+	size int64
+	// window is the part of [0, size) the field slices hold: element k
+	// lives at position k - window.Lo.
+	window  geometry.Interval
 	scalars map[string][]float64
 	indexes map[string][]int64
 	ranges  map[string][]geometry.Interval
 }
 
-// New creates a region with the given name and index space [0, size).
+// New creates a full region with the given name and index space
+// [0, size).
 func New(name string, size int64) *Region {
 	if size < 0 {
 		panic(fmt.Sprintf("region %s: negative size %d", name, size))
@@ -67,6 +73,7 @@ func New(name string, size int64) *Region {
 	return &Region{
 		name:    name,
 		size:    size,
+		window:  geometry.Interval{Lo: 0, Hi: size},
 		scalars: map[string][]float64{},
 		indexes: map[string][]int64{},
 		ranges:  map[string][]geometry.Interval{},
@@ -82,18 +89,34 @@ func (r *Region) Size() int64 { return r.size }
 // Space returns the region's index space as a set.
 func (r *Region) Space() geometry.IndexSet { return geometry.Range(0, r.size) }
 
+// Window returns the part of the index space the field slices hold:
+// [0, Size) for a full region. Element k of a field lives at position
+// k - Window().Lo of the slices Scalar, Index and Ranges return.
+func (r *Region) Window() geometry.Interval { return r.window }
+
+// full reports whether r holds every element of its index space.
+func (r *Region) full() bool { return r.window == geometry.Interval{Lo: 0, Hi: r.size} }
+
+// mustBeFull panics when r is a window: op would index it as if it held
+// every element.
+func (r *Region) mustBeFull(op string) {
+	if !r.full() {
+		panic(fmt.Sprintf("region %s: %s of a window %s", r.name, op, r.window))
+	}
+}
+
 // AddScalarField adds a float64 field initialized to zero. It panics if a
 // field of the name already exists.
 func (r *Region) AddScalarField(name string) {
 	r.checkFresh(name)
-	r.scalars[name] = make([]float64, r.size)
+	r.scalars[name] = make([]float64, r.window.Len())
 }
 
 // AddIndexField adds an index-valued (pointer) field initialized to null
 // (-1). It panics if a field of the name already exists.
 func (r *Region) AddIndexField(name string) {
 	r.checkFresh(name)
-	vals := make([]int64, r.size)
+	vals := make([]int64, r.window.Len())
 	for i := range vals {
 		vals[i] = -1
 	}
@@ -104,7 +127,7 @@ func (r *Region) AddIndexField(name string) {
 // panics if a field of the name already exists.
 func (r *Region) AddRangeField(name string) {
 	r.checkFresh(name)
-	r.ranges[name] = make([]geometry.Interval, r.size)
+	r.ranges[name] = make([]geometry.Interval, r.window.Len())
 }
 
 func (r *Region) checkFresh(name string) {
@@ -152,8 +175,8 @@ func (r *Region) FieldNames() []string {
 	return names
 }
 
-// Scalar returns the backing slice of a scalar field. It panics if the
-// field does not exist or has a different kind.
+// Scalar returns the backing slice of a scalar field over the region's
+// window. It panics if the field does not exist or has a different kind.
 func (r *Region) Scalar(name string) []float64 {
 	vals, ok := r.scalars[name]
 	if !ok {
@@ -162,8 +185,8 @@ func (r *Region) Scalar(name string) []float64 {
 	return vals
 }
 
-// Index returns the backing slice of an index field. It panics if the
-// field does not exist or has a different kind.
+// Index returns the backing slice of an index field over the region's
+// window. It panics if the field does not exist or has a different kind.
 func (r *Region) Index(name string) []int64 {
 	vals, ok := r.indexes[name]
 	if !ok {
@@ -172,8 +195,8 @@ func (r *Region) Index(name string) []int64 {
 	return vals
 }
 
-// Ranges returns the backing slice of a range field. It panics if the
-// field does not exist or has a different kind.
+// Ranges returns the backing slice of a range field over the region's
+// window. It panics if the field does not exist or has a different kind.
 func (r *Region) Ranges(name string) []geometry.Interval {
 	vals, ok := r.ranges[name]
 	if !ok {
@@ -183,8 +206,9 @@ func (r *Region) Ranges(name string) []geometry.Interval {
 }
 
 // PointerMap returns the index map k ↦ R[k].field for an index field,
-// named "R[·].field" as in the paper's notation.
+// named "R[·].field" as in the paper's notation. It panics on a window.
 func (r *Region) PointerMap(field string) geometry.IndexMap {
+	r.mustBeFull("PointerMap")
 	return geometry.TableMap{
 		Name:  fmt.Sprintf("%s[·].%s", r.name, field),
 		Table: r.Index(field),
@@ -192,33 +216,52 @@ func (r *Region) PointerMap(field string) geometry.IndexMap {
 }
 
 // RangeMap returns the multi-valued map k ↦ R[k].field for a range field.
+// It panics on a window.
 func (r *Region) RangeMap(field string) geometry.MultiMap {
+	r.mustBeFull("RangeMap")
 	return geometry.RangeTableMap{
 		Name:   fmt.Sprintf("%s[·].%s", r.name, field),
 		Ranges: r.Ranges(field),
 	}
 }
 
-// CloneData returns a deep copy of the region (same name, sizes, and field
-// contents). Used by differential tests that compare sequential and
-// parallel executions of the same program.
-func (r *Region) CloneData() *Region {
+// CloneData returns a deep copy of a full region (same name, size, and
+// field contents). Used by differential tests that compare sequential and
+// parallel executions of the same program. It panics on a window.
+func (r *Region) CloneData() *Region { return r.CopyWindow(0, r.size) }
+
+// CopyWindow returns a region of the same name, size and fields that
+// holds a copy of r's data over [lo, hi) only: a distributed node's
+// instance of the elements it can touch. It panics unless r holds all of
+// [lo, hi).
+func (r *Region) CopyWindow(lo, hi int64) *Region {
+	if lo < r.window.Lo || lo > hi || hi > r.window.Hi {
+		panic(fmt.Sprintf("region %s: window [%d,%d) of a region holding %s", r.name, lo, hi, r.window))
+	}
 	c := New(r.name, r.size)
+	c.window = geometry.Interval{Lo: lo, Hi: hi}
+	from, to := lo-r.window.Lo, hi-r.window.Lo
 	for n, v := range r.scalars {
-		c.scalars[n] = append([]float64(nil), v...)
+		c.scalars[n] = slices.Clone(v[from:to])
 	}
 	for n, v := range r.indexes {
-		c.indexes[n] = append([]int64(nil), v...)
+		c.indexes[n] = slices.Clone(v[from:to])
 	}
 	for n, v := range r.ranges {
-		c.ranges[n] = append([]geometry.Interval(nil), v...)
+		c.ranges[n] = slices.Clone(v[from:to])
 	}
 	return c
 }
 
-// SameData reports whether two regions have identical field contents. It
-// returns a description of the first difference for test diagnostics.
+// SameData reports whether two full regions have identical field
+// contents. It returns a description of the first difference for test
+// diagnostics, and refuses (reports a difference for) a window.
 func (r *Region) SameData(other *Region) (bool, string) {
+	for _, x := range []*Region{r, other} {
+		if !x.full() {
+			return false, fmt.Sprintf("%s holds only the window %s", x.name, x.window)
+		}
+	}
 	if r.size != other.size {
 		return false, fmt.Sprintf("size %d vs %d", r.size, other.size)
 	}

@@ -136,6 +136,54 @@ func TestCloneAndSameData(t *testing.T) {
 	}
 }
 
+// TestCopyWindow checks that a window keeps the region's name, size and
+// fields, holds exactly the copied interval (element k at k-lo), and is
+// refused by every operation that would index it as a whole region.
+func TestCopyWindow(t *testing.T) {
+	r := New("R", 6)
+	r.AddScalarField("x")
+	r.AddIndexField("p")
+	r.AddRangeField("g")
+	for i := range r.Scalar("x") {
+		r.Scalar("x")[i] = float64(i)
+	}
+	w := r.CopyWindow(2, 5)
+	if w.Name() != "R" || w.Size() != 6 || w.Window() != (geometry.Interval{Lo: 2, Hi: 5}) || len(w.FieldNames()) != 3 {
+		t.Fatalf("window: name %s size %d window %s fields %v", w.Name(), w.Size(), w.Window(), w.FieldNames())
+	}
+	if got := w.Scalar("x"); len(got) != 3 || got[0] != 2 || got[2] != 4 {
+		t.Errorf("window scalars = %v, want [2 3 4]", got)
+	}
+	w.Scalar("x")[0] = 9
+	if r.Scalar("x")[2] != 2 {
+		t.Error("writing the window changed the region it was copied from")
+	}
+	if inner := w.CopyWindow(3, 4); inner.Scalar("x")[0] != 3 {
+		t.Errorf("window of a window = %v, want [3]", inner.Scalar("x"))
+	}
+	if empty := r.CopyWindow(0, 0); len(empty.Index("p")) != 0 {
+		t.Error("empty window holds elements")
+	}
+	if same, diff := r.SameData(w); same || !strings.Contains(diff, "window [2,5)") {
+		t.Errorf("SameData(window) = %v, %q; want a refusal naming the window", same, diff)
+	}
+	for name, fn := range map[string]func(){
+		"CloneData":         func() { w.CloneData() },
+		"PointerMap":        func() { w.PointerMap("p") },
+		"RangeMap":          func() { w.RangeMap("g") },
+		"CopyWindow beyond": func() { w.CopyWindow(1, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a window: expected panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 func TestEqualPartition(t *testing.T) {
 	r := New("R", 10)
 	p := Equal("P", r, 3)

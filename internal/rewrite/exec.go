@@ -49,11 +49,7 @@ func RunLaunch(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLo
 
 	// Launch-entry snapshot of every region (tasks read this, not each
 	// other's writes).
-	snapshot := map[string]*region.Region{}
-	for name, r := range m.Regions {
-		snapshot[name] = r.CloneData()
-	}
-	snapM := &ir.Machine{Regions: snapshot, Funcs: m.Funcs, Partitions: m.Partitions}
+	snapM := m.Clone()
 
 	perColor := make([]map[FieldKey]*ReduceBuffer, iter.NumSubs())
 	for color := 0; color < iter.NumSubs(); color++ {
@@ -77,15 +73,17 @@ func RunLaunch(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLo
 // MergeShardReductions once every contributing shard has flushed.
 func FlushShard(m *ir.Machine, res *ShardResult) {
 	for k, vals := range res.Scalars {
-		data := m.Regions[k.Region].Scalar(k.Field)
+		r := m.Regions[k.Region]
+		data, base := r.Scalar(k.Field), r.Window().Lo
 		for idx, v := range vals {
-			data[idx] = v
+			data[idx-base] = v
 		}
 	}
 	for k, vals := range res.Indexes {
-		data := m.Regions[k.Region].Index(k.Field)
+		r := m.Regions[k.Region]
+		data, base := r.Index(k.Field), r.Window().Lo
 		for idx, v := range vals {
-			data[idx] = v
+			data[idx-base] = v
 		}
 	}
 }
@@ -127,7 +125,8 @@ func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) 
 	})
 	for _, k := range keys {
 		e := fields[k]
-		data := m.Regions[k.Region].Scalar(k.Field)
+		r := m.Regions[k.Region]
+		data, base := r.Scalar(k.Field), r.Window().Lo
 		idxs := make([]int64, 0, len(e.idxs))
 		for idx := range e.idxs {
 			idxs = append(idxs, idx)
@@ -152,7 +151,7 @@ func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) 
 					v = ir.ApplyReduce(e.op, v, c)
 				}
 			}
-			data[idx] = ir.ApplyReduce(e.op, data[idx], v)
+			data[idx-base] = ir.ApplyReduce(e.op, data[idx-base], v)
 		}
 	}
 }
@@ -160,7 +159,7 @@ func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) 
 // RunShard executes one color's task of pl. Reads see m's current region
 // data plus the task's own earlier writes; m is not mutated, so several
 // shards may run against the same machine (a launch-entry snapshot, or a
-// distributed node's local arrays made current by a ghost exchange).
+// distributed node's region windows made current by a ghost exchange).
 //
 // The body is resolved once per call (names to frame slots, fields to
 // backing slices, accesses to this color's subregions): a malformed body
@@ -245,9 +244,13 @@ func (s *shard) index(slot int) (int64, error) {
 // field is one region field the body names, shared by every statement
 // naming it: its backing slice and the task's private writes and
 // reduction buffer, created on first use and entered in the result.
+// Element idx lives at position idx-base of the backing slice, base
+// being the region's window origin; every access has passed the
+// containment check against a subregion the window covers.
 type field struct {
 	key     FieldKey
 	kind    region.FieldKind
+	base    int64
 	scalars []float64
 	indexes []int64
 	ranges  []geometry.Interval
@@ -269,7 +272,7 @@ func (s *shard) field(st ir.Stmt, regionName, name string) (*field, error) {
 	if !ok {
 		return nil, fmt.Errorf("%s: region %s has no field %s", st, regionName, name)
 	}
-	f := &field{key: k, kind: kind}
+	f := &field{key: k, kind: kind, base: reg.Window().Lo}
 	switch kind {
 	case region.ScalarField:
 		f.scalars = reg.Scalar(name)
@@ -289,7 +292,7 @@ func (f *field) scalar(idx int64) float64 {
 			return v
 		}
 	}
-	return f.scalars[idx]
+	return f.scalars[idx-f.base]
 }
 
 func (s *shard) writeScalar(f *field, idx int64, v float64) {
@@ -455,7 +458,7 @@ func (s *shard) step(n *step) error {
 		}
 		v, ok := n.f.wIndex[k]
 		if !ok {
-			v = n.f.indexes[k]
+			v = n.f.indexes[k-n.f.base]
 		}
 		if v < 0 {
 			s.set(n.dst, ir.InvalidIndex())
@@ -545,7 +548,7 @@ func (s *shard) step(n *step) error {
 		if err := s.check(&n.acc, k); err != nil {
 			return err
 		}
-		iv := n.f.ranges[k]
+		iv := n.f.ranges[k-n.f.base]
 		for j := iv.Lo; j < iv.Hi; j++ {
 			s.set(n.dst, ir.IndexValue(j))
 			if err := s.run(n.body); err != nil {
