@@ -349,6 +349,15 @@ func TestMissingOwnerFailsBeforeSending(t *testing.T) {
 	}
 }
 
+// cmd/run's -size small configs.
+var (
+	smallStencil = stencil.Config{Width: 128, RowsPerNode: 4}
+	smallCircuit = circuit.Config{WiresPerCluster: 200, NodesPerCluster: 100, SharedFraction: 0.02, CrossFraction: 0.20}
+	smallSpmv    = spmv.Config{RowsPerNode: 128, NnzPerRow: 8}
+	smallAero    = miniaero.Config{DX: 4, DY: 4, DZ: 4}
+	smallPennant = pennant.Config{W: 16, ZonesPerPiece: 128, Jitter: 16}
+)
+
 // TestOutputDigests pins the values, not only the agreement: the
 // distributed run and RunSequentialReference share one shard
 // interpreter, so a change in what it computes would pass every
@@ -364,25 +373,24 @@ func TestOutputDigests(t *testing.T) {
 		"miniaero":     "a3ff442e277c7be6d44fb046350c1c77915898302c801ccf8a37ab21a7c1ff8a",
 		"pennant-h2":   "281551ab054a873bc357e475719d6db2dba8d9f7e1720023a6b305ff80537dfb",
 	}
-	small := circuit.Config{WiresPerCluster: 200, NodesPerCluster: 100, SharedFraction: 0.02, CrossFraction: 0.20}
 	cases := []appCase{
 		{"stencil", func(n int) (*exec.Program, error) {
-			return stencil.Executable(stencil.Config{Width: 128, RowsPerNode: 4}, compiled(t, "stencil", stencil.Source()), n)
+			return stencil.Executable(smallStencil, compiled(t, "stencil", stencil.Source()), n)
 		}},
 		{"circuit", func(n int) (*exec.Program, error) {
-			return circuit.Executable(small, compiled(t, "circuit", circuit.Source), n, false)
+			return circuit.Executable(smallCircuit, compiled(t, "circuit", circuit.Source), n, false)
 		}},
 		{"circuit-hint", func(n int) (*exec.Program, error) {
-			return circuit.Executable(small, compiled(t, "circuit-hint", circuit.HintSource), n, true)
+			return circuit.Executable(smallCircuit, compiled(t, "circuit-hint", circuit.HintSource), n, true)
 		}},
 		{"spmv", func(n int) (*exec.Program, error) {
-			return spmv.Executable(spmv.Config{RowsPerNode: 128, NnzPerRow: 8}, compiled(t, "spmv", spmv.Source), n)
+			return spmv.Executable(smallSpmv, compiled(t, "spmv", spmv.Source), n)
 		}},
 		{"miniaero", func(n int) (*exec.Program, error) {
-			return miniaero.Executable(miniaero.Config{DX: 4, DY: 4, DZ: 4}, compiled(t, "miniaero", miniaero.Source()), n)
+			return miniaero.Executable(smallAero, compiled(t, "miniaero", miniaero.Source()), n)
 		}},
 		{"pennant-h2", func(n int) (*exec.Program, error) {
-			return pennant.Executable(pennant.Config{W: 16, ZonesPerPiece: 128, Jitter: 16}, compiled(t, "pennant-h2", pennant.HintSource(2)), n, 2)
+			return pennant.Executable(smallPennant, compiled(t, "pennant-h2", pennant.HintSource(2)), n, 2)
 		}},
 	}
 	const nodes, steps = 3, 2
@@ -428,6 +436,71 @@ func machineDigest(m *ir.Machine) string {
 			if err := binary.Write(h, binary.LittleEndian, data); err != nil {
 				panic(err)
 			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPartitionDigests pins the partitions the generated DPL programs
+// evaluate, not only the traffic they cause: a wrong partition with the
+// same byte and message totals would pass TestCommMatchesSim and the
+// benchmark's pinned counters. The sha256 of every evaluated partition
+// of the five apps (pennant without hints) at the -size small configs
+// on 8 nodes must stay exactly these.
+func TestPartitionDigests(t *testing.T) {
+	golden := map[string]string{
+		"stencil":  "57996573dcae15c96713966254636052d3cb2061bcb2fe254659ece232eac2c5",
+		"circuit":  "8deab1a0f59a90d6c7b0db9ad01a3237791c8797eeeb75eb8947ae75e101eee7",
+		"spmv":     "54999a658255404dddeaeb98b8359cf1ea956e2664490b363040ada8aaebd4a4",
+		"miniaero": "799488e5c57fd88e1f283875dbc3483370f828e6d2d0e7975c0f648af8b1ee3e",
+		"pennant":  "29344d65965404a6d24e3e46a6d4afc364316ec538fec7b74c6e5c2465cbd2a4",
+	}
+	cases := []appCase{
+		{"stencil", func(n int) (*exec.Program, error) {
+			return stencil.Executable(smallStencil, compiled(t, "stencil", stencil.Source()), n)
+		}},
+		{"circuit", func(n int) (*exec.Program, error) {
+			return circuit.Executable(smallCircuit, compiled(t, "circuit", circuit.Source), n, false)
+		}},
+		{"spmv", func(n int) (*exec.Program, error) {
+			return spmv.Executable(smallSpmv, compiled(t, "spmv", spmv.Source), n)
+		}},
+		{"miniaero", func(n int) (*exec.Program, error) {
+			return miniaero.Executable(smallAero, compiled(t, "miniaero", miniaero.Source()), n)
+		}},
+		{"pennant", func(n int) (*exec.Program, error) {
+			return pennant.Executable(smallPennant, compiled(t, "pennant", pennant.Source()), n, 0)
+		}},
+	}
+	for _, app := range cases {
+		prog, err := app.build(8)
+		if err != nil {
+			t.Fatalf("%s: build: %v", app.name, err)
+		}
+		if got := partitionDigest(prog.Parts); got != golden[app.name] {
+			t.Errorf("%s: partition sha256 %s, want %s", app.name, got, golden[app.name])
+		}
+	}
+}
+
+// partitionDigest hashes every partition's symbol, parent and colour
+// count, then each colour's intervals, in symbol order.
+func partitionDigest(parts map[string]*region.Partition) string {
+	syms := make([]string, 0, len(parts))
+	for sym := range parts {
+		syms = append(syms, sym)
+	}
+	sort.Strings(syms)
+	h := sha256.New()
+	for _, sym := range syms {
+		p := parts[sym]
+		fmt.Fprintf(h, "%s %s %d\n", sym, p.Parent().Name(), p.NumSubs())
+		for c, s := range p.Subs() {
+			fmt.Fprintf(h, "%d:", c)
+			for _, iv := range s.Intervals() {
+				fmt.Fprintf(h, " %d,%d", iv.Lo, iv.Hi)
+			}
+			fmt.Fprintln(h)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

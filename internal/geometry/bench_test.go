@@ -44,46 +44,72 @@ func BenchmarkPreimageAffine(b *testing.B) {
 	})
 }
 
-// BenchmarkImageTable uses a banded (SpMV-like) table: values are
-// locally ascending, so the Builder coalesces them into few intervals.
+// BenchmarkImageTable covers a banded (SpMV-like) table, whose values
+// are locally ascending so the hits form few runs, and a scattered one,
+// whose hits arrive in no order at all.
 func BenchmarkImageTable(b *testing.B) {
 	const rows, band = 1 << 17, 8
-	table := make([]int64, rows*band)
-	for i := range table {
-		table[i] = int64(i/band + i%band)
+	banded := make([]int64, rows*band)
+	scattered := make([]int64, rows*band)
+	for i := range banded {
+		banded[i] = int64(i/band + i%band)
+		scattered[i] = int64(i*7919) % (rows + band)
 	}
-	m := TableMap{Name: "ind", Table: table}
 	s := Range(0, rows*band)
 	cod := Range(0, rows+band)
-	b.Run("fast", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			imageTable(s, m, cod)
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			imageGeneric(s, m, cod)
-		}
-	})
+	for _, c := range []struct {
+		name  string
+		table []int64
+	}{{"banded", banded}, {"scattered", scattered}} {
+		m := TableMap{Name: "ind", Table: c.table}
+		b.Run(c.name+"/fast", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				imageTable(s, m, cod)
+			}
+		})
+		b.Run(c.name+"/generic", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				imageGeneric(s, m, cod)
+			}
+		})
+	}
 }
 
+// BenchmarkPreimageTable pulls a scattered table back through one
+// quarter of its codomain, and through all 32 colours of an equal split
+// of it in one pass, against the per-colour generic evaluation.
 func BenchmarkPreimageTable(b *testing.B) {
-	const n = 1 << 20
+	const n, colours = 1 << 20, 32
 	table := make([]int64, n)
 	for i := range table {
 		table[i] = int64((i * 7) % n)
 	}
 	m := TableMap{Name: "t", Table: table}
 	dom := Range(0, n)
-	target := Range(0, n/4)
-	b.Run("fast", func(b *testing.B) {
+	targets := make([]IndexSet, colours)
+	for c := range targets {
+		targets[c] = Range(int64(c)*n/colours, int64(c+1)*n/colours)
+	}
+	b.Run("one/fast", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			preimageTable(dom, m, target)
+			Preimage(dom, m, Range(0, n/4))
 		}
 	})
-	b.Run("generic", func(b *testing.B) {
+	b.Run("one/generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			preimageGeneric(dom, m, target)
+			preimageGeneric(dom, m, Range(0, n/4))
+		}
+	})
+	b.Run("colours/fast", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PreimageTable(dom, m, targets)
+		}
+	})
+	b.Run("colours/generic", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, t := range targets {
+				preimageGeneric(dom, m, t)
+			}
 		}
 	})
 }

@@ -1,6 +1,10 @@
 package geometry
 
-import "slices"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // This file holds the interval-native fast paths of the evaluation
 // engine. The public Image/Preimage/ImageMulti/PreimageMulti entry
@@ -135,70 +139,169 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// imageTable computes Image(s, m, codomain) for a TableMap by walking
-// the backing slice directly per interval, avoiding the per-element
-// interface dispatch of the generic path. Hits go straight into a
-// Builder: ascending runs (the common case for locality-preserving
-// tables) coalesce in place, so the Build-time sort is over intervals,
-// not elements.
-func imageTable(s IndexSet, m TableMap, codomain IndexSet) IndexSet {
-	n := int64(len(m.Table))
-	var b Builder
-	for _, iv := range s.ivs {
-		lo, hi := iv.Lo, iv.Hi
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n {
-			hi = n
-		}
-		for k := lo; k < hi; k++ {
-			if v := m.Table[k]; v >= 0 {
-				b.Add(v)
-			}
-		}
+// tableWindow clips iv to a table's index range [0, len(table)) and
+// returns the clipped start with the entries it covers: the elements of a
+// domain interval past the table's end are out of the map's domain.
+func tableWindow[T any](table []T, iv Interval) (int64, []T) {
+	lo, hi := max(iv.Lo, 0), min(iv.Hi, int64(len(table)))
+	if lo >= hi {
+		return lo, nil
 	}
-	return b.Build().Intersect(codomain)
+	return lo, table[lo:hi]
 }
 
-// preimageTable computes Preimage(domain, m, target) for a TableMap by
-// walking the backing slice directly; hits arrive in ascending order so
-// each insert is O(1).
-func preimageTable(domain IndexSet, m TableMap, target IndexSet) IndexSet {
-	n := int64(len(m.Table))
-	var b Builder
-	for _, iv := range domain.ivs {
-		lo, hi := iv.Lo, iv.Hi
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n {
-			hi = n
-		}
-		for k := lo; k < hi; k++ {
-			if v := m.Table[k]; v >= 0 && target.Contains(v) {
-				b.Add(k)
+// imageTable computes Image(s, m, codomain) for a TableMap by walking
+// the backing slice directly per interval, avoiding the per-element
+// interface dispatch of the generic path. Hits within the codomain's
+// bounds are marked in a bitmap over their hull, whose runs are read off
+// a word at a time: no interval per hit and no sort.
+func imageTable(s IndexSet, m TableMap, codomain IndexSet) IndexSet {
+	bounds, _ := codomain.Bounds()
+	bounds.Lo = max(bounds.Lo, 0) // negative entries are misses
+	if bounds.Empty() {
+		return IndexSet{}
+	}
+	lo, hi := bounds.Hi, bounds.Lo // the hull of the hits, empty so far
+	for _, iv := range s.ivs {
+		_, vals := tableWindow(m.Table, iv)
+		for _, v := range vals {
+			if bounds.Contains(v) {
+				lo, hi = min(lo, v), max(hi, v+1)
 			}
 		}
 	}
-	return b.Build()
+	if lo >= hi {
+		return IndexSet{}
+	}
+	span := uint64(hi - lo)
+	words := make([]uint64, (span+63)/64)
+	for _, iv := range s.ivs {
+		_, vals := tableWindow(m.Table, iv)
+		for _, v := range vals {
+			if d := uint64(v - lo); d < span { // a hit: lo ≤ v < hi
+				words[d>>6] |= 1 << (d & 63)
+			}
+		}
+	}
+	img := bitmapRuns(words, lo)
+	if len(codomain.ivs) > 1 { // hits may fall in the codomain's holes
+		img = img.Intersect(codomain)
+	}
+	return img
+}
+
+// bitmapRuns returns the set holding lo+i for every set bit i of words.
+// A bit that differs from the one below it starts a run when set and
+// ends one when clear, so each word yields its runs in popcount steps.
+func bitmapRuns(words []uint64, lo int64) IndexSet {
+	runs, below := 0, uint64(0)
+	for _, w := range words {
+		runs += bits.OnesCount64(w &^ (w<<1 | below))
+		below = w >> 63
+	}
+	ivs := make([]Interval, 0, runs)
+	var start int64
+	below = 0
+	for i, w := range words {
+		base := lo + int64(i)*64
+		for edges := w ^ (w<<1 | below); edges != 0; edges &= edges - 1 {
+			t := int64(bits.TrailingZeros64(edges))
+			if w>>t&1 == 1 {
+				start = base + t
+			} else {
+				ivs = append(ivs, Interval{start, base + t})
+			}
+		}
+		below = w >> 63
+	}
+	if below == 1 {
+		ivs = append(ivs, Interval{start, lo + int64(len(words))*64})
+	}
+	return IndexSet{ivs: ivs}
+}
+
+// PreimageTable computes Preimage(domain, m, targets[c]) for every
+// colour c in one walk of the domain. A CSR colour table over the hull
+// of the targets lists, for each value v, the colours whose target holds
+// v, in ascending order; several when the targets alias. It is filled by
+// counting, a prefix sum and a cursor pass, and cut to the hull of the
+// table's values over the domain, so a small domain never pays for a
+// large target. Each domain element k then goes to every colour listed
+// for Table[k]; k ascends, so each add is O(1). Negative entries,
+// entries in no target and domain elements past the table's end are
+// misses.
+func PreimageTable(domain IndexSet, m TableMap, targets []IndexSet) []IndexSet {
+	out := make([]IndexSet, len(targets))
+	hull := Interval{math.MaxInt64, 0} // of the table's values over the domain
+	for _, iv := range domain.ivs {
+		_, vals := tableWindow(m.Table, iv)
+		for _, v := range vals {
+			if v >= 0 {
+				hull = Interval{min(hull.Lo, v), max(hull.Hi, v+1)}
+			}
+		}
+	}
+	thull := Interval{math.MaxInt64, math.MinInt64}
+	for _, t := range targets {
+		if b, ok := t.Bounds(); ok {
+			thull = Interval{min(thull.Lo, b.Lo), max(thull.Hi, b.Hi)}
+		}
+	}
+	hull = hull.Intersect(thull)
+	if hull.Empty() {
+		return out
+	}
+	// Counting into off[v-lo+2] and a prefix sum leave v's start at
+	// off[v-lo+1]; the cursor pass advances it to v's end, which is v+1's
+	// start, so colours[off[v-lo]:off[v-lo+1]] are v's.
+	lo, n := hull.Lo, hull.Len()
+	off := make([]int, n+2)
+	for _, t := range targets {
+		for _, iv := range t.ivs {
+			iv = iv.Intersect(hull)
+			for v := iv.Lo; v < iv.Hi; v++ {
+				off[v-lo+2]++
+			}
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	colours := make([]int32, off[n+1])
+	for c, t := range targets {
+		for _, iv := range t.ivs {
+			iv = iv.Intersect(hull)
+			for v := iv.Lo; v < iv.Hi; v++ {
+				colours[off[v-lo+1]] = int32(c)
+				off[v-lo+1]++
+			}
+		}
+	}
+	bs := make([]Builder, len(targets))
+	for _, iv := range domain.ivs {
+		k0, vals := tableWindow(m.Table, iv)
+		for i, v := range vals {
+			if hull.Contains(v) {
+				for _, c := range colours[off[v-lo]:off[v-lo+1]] {
+					bs[c].Add(k0 + int64(i))
+				}
+			}
+		}
+	}
+	for c := range bs {
+		out[c] = bs[c].Build()
+	}
+	return out
 }
 
 // imageRangeTable computes ImageMulti(s, m, codomain) for a
 // RangeTableMap: gather every per-index range, then sort-and-merge once.
 func imageRangeTable(s IndexSet, m RangeTableMap, codomain IndexSet) IndexSet {
-	n := int64(len(m.Ranges))
 	var ivs []Interval
 	for _, iv := range s.ivs {
-		lo, hi := iv.Lo, iv.Hi
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n {
-			hi = n
-		}
-		for k := lo; k < hi; k++ {
-			if r := m.Ranges[k]; !r.Empty() {
+		_, rs := tableWindow(m.Ranges, iv)
+		for _, r := range rs {
+			if !r.Empty() {
 				ivs = append(ivs, r)
 			}
 		}
@@ -210,19 +313,12 @@ func imageRangeTable(s IndexSet, m RangeTableMap, codomain IndexSet) IndexSet {
 // RangeTableMap using a per-index overlap test instead of materializing
 // F(k) as a set.
 func preimageRangeTable(domain IndexSet, m RangeTableMap, target IndexSet) IndexSet {
-	n := int64(len(m.Ranges))
 	var b Builder
 	for _, iv := range domain.ivs {
-		lo, hi := iv.Lo, iv.Hi
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n {
-			hi = n
-		}
-		for k := lo; k < hi; k++ {
-			if target.OverlapsInterval(m.Ranges[k]) {
-				b.Add(k)
+		k0, rs := tableWindow(m.Ranges, iv)
+		for i, r := range rs {
+			if target.OverlapsInterval(r) {
+				b.Add(k0 + int64(i))
 			}
 		}
 	}

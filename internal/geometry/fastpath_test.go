@@ -59,21 +59,43 @@ func TestImagePreimageAffineDifferential(t *testing.T) {
 
 // TestImagePreimageTableDifferential covers TableMap batched paths,
 // including negative (out-of-domain) entries and indices outside the
-// table bounds.
+// table bounds. Besides short random tables it draws descending and
+// random tables of a few hundred entries whose values start above 0, so
+// the image bitmap's hull starts above 0 and its runs cross 64-bit words.
 func TestImagePreimageTableDifferential(t *testing.T) {
-	prop := func(sSpec, codSpec, tableSpec []byte) bool {
+	prop := func(sSpec, codSpec, tableSpec []byte, shape uint8, seed int64) bool {
 		s := randSet(sSpec)
 		cod := randSet(codSpec)
-		table := make([]int64, len(tableSpec))
-		for i, v := range tableSpec {
-			table[i] = int64(v%40) - 4 // ~10% out of domain
+		var table []int64
+		switch shape % 3 {
+		case 0:
+			table = make([]int64, len(tableSpec))
+			for i, v := range tableSpec {
+				table[i] = int64(v%40) - 4 // ~10% out of domain
+			}
+		default:
+			r := rand.New(rand.NewSource(seed))
+			base := 1 + r.Int63n(100)
+			table = make([]int64, 200+r.Intn(300))
+			for i := range table {
+				if shape%3 == 1 {
+					table[i] = base + int64(len(table)-i)
+				} else {
+					table[i] = base + r.Int63n(int64(len(table)))
+				}
+				if r.Intn(10) == 0 {
+					table[i] = -1 - table[i]
+				}
+			}
+			s = randWideSet(r, int64(len(table))+16)
+			cod = randWideSet(r, base+int64(len(table))+16)
 		}
 		m := TableMap{Name: "t", Table: table}
 		if got, want := imageTable(s, m, cod), imageGeneric(s, m, cod); !got.Equal(want) {
 			t.Logf("image mismatch: s=%s got=%s want=%s", s, got, want)
 			return false
 		}
-		if got, want := preimageTable(s, m, cod), preimageGeneric(s, m, cod); !got.Equal(want) {
+		if got, want := PreimageTable(s, m, []IndexSet{cod})[0], preimageGeneric(s, m, cod); !got.Equal(want) {
 			t.Logf("preimage mismatch: dom=%s got=%s want=%s", s, got, want)
 			return false
 		}
@@ -81,6 +103,71 @@ func TestImagePreimageTableDifferential(t *testing.T) {
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Error(err)
+	}
+}
+
+// randWideSet returns a random set inside [-8, span) of runs up to 150
+// long, so that the set's runs cross 64-bit words.
+func randWideSet(r *rand.Rand, span int64) IndexSet {
+	var b Builder
+	for i := r.Intn(6); i >= 0; i-- {
+		lo := r.Int63n(span+8) - 8
+		b.AddInterval(Interval{lo, min(lo+1+r.Int63n(150), span)})
+	}
+	return b.Build()
+}
+
+// TestPreimageTableMatchesPerColour holds the one-pass table preimage
+// over all colours against preimageGeneric run colour by colour, on
+// random tables with negative entries and entries at or past the target
+// size, shorter and longer than the domain, and on disjoint, aliased
+// (elements in 2–3 colours), partly empty and one-colour sources.
+func TestPreimageTableMatchesPerColour(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		size := 1 + r.Int63n(300) // the sources' parent is [0, size)
+		table := make([]int64, r.Int63n(2*size+1))
+		for i := range table {
+			table[i] = r.Int63n(size+size/2+2) - size/4 - 1
+		}
+		dom := Range(0, r.Int63n(2*size+1))
+		if r.Intn(3) == 0 {
+			dom = randWideSet(r, 2*size)
+		}
+		kind := []string{"disjoint", "aliased", "empty", "one"}[seed%4]
+		colours := 1 + r.Intn(12)
+		if kind == "one" {
+			colours = 1
+		}
+		bs := make([]Builder, colours)
+		for v := int64(0); v < size; v++ {
+			switch kind {
+			case "aliased":
+				for k := 2 + r.Intn(2); k > 0; k-- {
+					bs[r.Intn(colours)].Add(v)
+				}
+			case "empty":
+				if c := r.Intn(colours); c%2 == 0 {
+					bs[c].Add(v)
+				}
+			default:
+				if r.Intn(8) > 0 { // leave some holes
+					bs[int(v)*colours/int(size)].Add(v)
+				}
+			}
+		}
+		targets := make([]IndexSet, colours)
+		for c := range bs {
+			targets[c] = bs[c].Build()
+		}
+		m := TableMap{Name: "t", Table: table}
+		got := PreimageTable(dom, m, targets)
+		for c, target := range targets {
+			if want := preimageGeneric(dom, m, target); !got[c].Equal(want) {
+				t.Fatalf("seed %d (%s), colour %d: dom=%s target=%s got=%s want=%s",
+					seed, kind, c, dom, target, got[c], want)
+			}
+		}
 	}
 }
 

@@ -154,7 +154,7 @@ func Preimage(domain IndexSet, f IndexMap, target IndexSet) IndexSet {
 			return preimageAffine(domain, m, target)
 		}
 	case TableMap:
-		return preimageTable(domain, m, target)
+		return PreimageTable(domain, m, []IndexSet{target})[0]
 	}
 	return preimageGeneric(domain, f, target)
 }

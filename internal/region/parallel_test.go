@@ -35,6 +35,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 		rt := geometry.RangeTableMap{Name: "rt", Ranges: ranges}
 		out["imulti"] = ImageMulti("im", p, rt, s)
 		out["pmulti"] = PreimageMulti("pm", r, rt, p)
+		table := make([]int64, 4096)
+		for i := range table {
+			table[i] = int64(i*37%4103) - 3 // a few negative, a few past S
+		}
+		tm := geometry.TableMap{Name: "tm", Table: table}
+		out["itable"] = Image("it", p, tm, s)
+		out["ptable"] = Preimage("pt", r, tm, Union("alias", p, q))
 		return out
 	}
 

@@ -265,9 +265,13 @@ func Image(name string, src *Partition, f geometry.IndexMap, target *Region) *Pa
 }
 
 // Preimage creates preimage(domain, f, src)[i] = f⁻¹(src[i]) ∩ domain —
-// the preimage DPL operator.
+// the preimage DPL operator. A table map is evaluated for every colour
+// in one walk of the domain; other maps colour by colour.
 func Preimage(name string, domain *Region, f geometry.IndexMap, src *Partition) *Partition {
 	space := domain.Space()
+	if m, ok := f.(geometry.TableMap); ok {
+		return newPartition(name, domain, geometry.PreimageTable(space, m, src.subs))
+	}
 	subs := make([]geometry.IndexSet, len(src.subs))
 	par.Do(len(src.subs), func(i int) {
 		subs[i] = geometry.Preimage(space, f, src.subs[i])
