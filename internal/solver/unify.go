@@ -195,61 +195,6 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 		}
 	}
 
-	// deltaCounts reports how many conjuncts of sys are not in the
-	// baseline, counting each distinct conjunct once. §3.2: only
-	// unifications that reduce the number of subset constraints are
-	// worthwhile; the external assumptions count as already present.
-	deltaCounts := func(sys *constraint.System) (subs, total int) {
-		predSeen := map[constraint.Pred]bool{}
-		for _, p := range sys.Preds {
-			if !basePred[p] && !predSeen[p] {
-				predSeen[p] = true
-				total++
-			}
-		}
-		subSeen := map[constraint.Subset]bool{}
-		for _, c := range sys.Subsets {
-			if dpl.Equal(c.L, c.R) {
-				continue
-			}
-			if !baseSub[c] && !subSeen[c] {
-				subSeen[c] = true
-				subs++
-				total++
-			}
-		}
-		return subs, total
-	}
-	// Candidate checks merge the fixed accumulated system with one small
-	// candidate each; the live membership sets mean every merge only pays
-	// for the candidate's side. combined is deduplicated and
-	// tautology-free by construction, so it copies over as a prefix
-	// verbatim.
-	mergeWithCombined := func(cand *constraint.System) *constraint.System {
-		out := &constraint.System{
-			Preds:   append(make([]constraint.Pred, 0, len(combined.Preds)+len(cand.Preds)), combined.Preds...),
-			Subsets: append(make([]constraint.Subset, 0, len(combined.Subsets)+len(cand.Subsets)), combined.Subsets...),
-		}
-		predSeen := map[constraint.Pred]bool{}
-		for _, p := range cand.Preds {
-			if !combinedPred[p] && !predSeen[p] {
-				predSeen[p] = true
-				out.Preds = append(out.Preds, p)
-			}
-		}
-		subSeen := map[constraint.Subset]bool{}
-		for _, c := range cand.Subsets {
-			if dpl.Equal(c.L, c.R) {
-				continue
-			}
-			if !combinedSub[c] && !subSeen[c] {
-				subSeen[c] = true
-				out.Subsets = append(out.Subsets, c)
-			}
-		}
-		return out
-	}
-
 	// Each unification round is a deterministic function of the solving
 	// context, the accumulated state, and the incoming system, so its
 	// greedy winner is memoized in the shared cache: a warm service
@@ -329,7 +274,9 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 			// the first candidate in mapping order that passes — exactly
 			// the candidate the sequential greedy loop would commit.
 			const maxTries = 6
-			deltaBeforeSubs, _ := deltaCounts(remaining)
+			// The round's §3.2 counts are built on its first mapping
+			// that renames a symbol; a round may yield none.
+			var delta *deltaTable
 			type unifyCand struct {
 				renames   map[string]string
 				candidate *constraint.System
@@ -337,7 +284,10 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 			}
 			// filterCand applies the rename filter and the §3.2 delta
 			// tests to one mapping; nil means the mapping is skipped
-			// without consuming a try.
+			// without consuming a try. A candidate that passes has a
+			// conjunct outside the baseline, so its check merges it into
+			// combined (mergeWithBase against combined's own sets) as a
+			// fresh system; combined itself is never handed out.
 			filterCand := func(m constraint.Mapping) *unifyCand {
 				// Keep only fresh→existing renamings.
 				renames := map[string]string{}
@@ -350,10 +300,20 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 				if len(renames) == 0 {
 					return nil
 				}
-				candidate := applyRenames(remaining, renames)
-				deltaSubs, deltaTotal := deltaCounts(candidate)
-				if deltaSubs >= deltaBeforeSubs {
+				if delta == nil {
+					delta = newDeltaTable(remaining, basePred, baseSub)
+				}
+				// Most mappings fail the test (93 % on MiniAero), so the
+				// renamed system is materialized only for those that pass.
+				deltaSubs, deltaTotal, candidate := delta.renamedCounts(renames)
+				if deltaCheck != nil {
+					deltaCheck(delta, renames, deltaSubs, deltaTotal)
+				}
+				if deltaSubs >= delta.nSub {
 					return nil
+				}
+				if candidate == nil {
+					candidate = remaining.RenamedSyms(renames)
 				}
 				// deltaTotal == 0: the renamed conjuncts are all already
 				// present, the merge changes nothing, and no solvability
@@ -382,7 +342,7 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 						return false
 					}
 					tries++
-					if s.solvable(mergeWithCombined(cand.candidate)) {
+					if s.solvable(mergeWithBase(combined, cand.candidate, combinedPred, combinedSub)) {
 						winner = cand
 						return false
 					}
@@ -413,7 +373,7 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 				})
 				oks := make([]bool, len(checks))
 				par.Do(len(checks), func(i int) {
-					oks[i] = s.solvable(mergeWithCombined(checks[i].candidate))
+					oks[i] = s.solvable(mergeWithBase(combined, checks[i].candidate, combinedPred, combinedSub))
 				})
 				for i := range checks {
 					if oks[i] {
@@ -477,21 +437,163 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 // (never observed) case falls back to one Subst per entry, in sorted
 // order for determinism.
 func applyRenames(sys *constraint.System, renames map[string]string) *constraint.System {
+	if !chainedRenames(renames) {
+		return sys.RenamedSyms(renames)
+	}
+	froms := make([]string, 0, len(renames))
+	for from := range renames {
+		froms = append(froms, from)
+	}
+	sort.Strings(froms)
+	out := sys.Clone()
+	for _, from := range froms {
+		out.Subst(from, dpl.Var{Name: renames[from]})
+	}
+	return out
+}
+
+// chainedRenames reports whether some renamed-to symbol is itself
+// renamed, where simultaneous and sequential renaming differ.
+func chainedRenames(renames map[string]string) bool {
 	for _, to := range renames {
-		if _, chained := renames[to]; chained {
-			froms := make([]string, 0, len(renames))
-			for from := range renames {
-				froms = append(froms, from)
-			}
-			sort.Strings(froms)
-			out := sys.Clone()
-			for _, from := range froms {
-				out.Subst(from, dpl.Var{Name: renames[from]})
-			}
-			return out
+		if _, ok := renames[to]; ok {
+			return true
 		}
 	}
-	return sys.RenamedSyms(renames)
+	return false
+}
+
+// deltaCheck, when set, sees every §3.2 test of a round: the round's
+// table, the mapping's renames and the counts the test used. The
+// solver's tests hold the counts against a renamed copy.
+var deltaCheck func(t *deltaTable, renames map[string]string, subs, total int)
+
+// deltaTable counts the novel conjuncts of one round's remaining system
+// for Algorithm 3's §3.2 test: those neither in the baseline membership
+// sets (external ∪ combined) nor tautological, each distinct conjunct
+// once. Under a rename it recounts only the conjuncts that mention a
+// renamed symbol, where a renamed copy of the system costs work in all
+// of them.
+//
+// The keys are the conjunct values, not interned expression ids: an id
+// would intern every rejected image into the shared expression table,
+// and most images are rejected.
+type deltaTable struct {
+	sys      *constraint.System
+	basePred map[constraint.Pred]bool
+	baseSub  map[constraint.Subset]bool
+
+	// preds and subs hold sys's novel conjuncts, nPred and nSub their
+	// number; firstPred[i] and firstSub[i] mark the conjuncts that put
+	// their key there first.
+	preds               map[constraint.Pred]bool
+	subs                map[constraint.Subset]bool
+	firstPred, firstSub []bool
+	nPred, nSub         int
+
+	// Per-rename scratch: the renamed symbols' ids and the novel images
+	// counted so far.
+	fromIDs  []int32
+	seenPred map[constraint.Pred]bool
+	seenSub  map[constraint.Subset]bool
+}
+
+func newDeltaTable(sys *constraint.System, basePred map[constraint.Pred]bool, baseSub map[constraint.Subset]bool) *deltaTable {
+	t := &deltaTable{
+		sys: sys, basePred: basePred, baseSub: baseSub,
+		preds:     map[constraint.Pred]bool{},
+		subs:      map[constraint.Subset]bool{},
+		firstPred: make([]bool, len(sys.Preds)),
+		firstSub:  make([]bool, len(sys.Subsets)),
+	}
+	for i, p := range sys.Preds {
+		if !basePred[p] && !t.preds[p] {
+			t.preds[p] = true
+			t.firstPred[i] = true
+			t.nPred++
+		}
+	}
+	for i, c := range sys.Subsets {
+		if !dpl.Equal(c.L, c.R) && !baseSub[c] && !t.subs[c] {
+			t.subs[c] = true
+			t.firstSub[i] = true
+			t.nSub++
+		}
+	}
+	return t
+}
+
+// counts returns the novel subset count and the novel conjunct count.
+func (t *deltaTable) counts() (subs, total int) { return t.nSub, t.nPred + t.nSub }
+
+// renamedCounts returns counts() of sys under renames, only reading the
+// table. A chained rename map takes applyRenames' sequential path and
+// is counted on the system that path materializes, which it also
+// returns; otherwise renamed is nil.
+//
+// Without a chain, no image mentions a renamed symbol. So every key
+// that does mention one leaves the count (all its occurrences are
+// touched), and no image is such a key: an image counts when it is
+// novel, not tautological, and not a key the untouched conjuncts keep.
+func (t *deltaTable) renamedCounts(renames map[string]string) (subs, total int, renamed *constraint.System) {
+	if chainedRenames(renames) {
+		renamed = applyRenames(t.sys, renames)
+		subs, total = newDeltaTable(renamed, t.basePred, t.baseSub).counts()
+		return subs, total, renamed
+	}
+	t.fromIDs = t.fromIDs[:0]
+	for from := range renames {
+		t.fromIDs = append(t.fromIDs, dpl.SymID(from))
+	}
+	if t.seenPred == nil {
+		t.seenPred, t.seenSub = map[constraint.Pred]bool{}, map[constraint.Subset]bool{}
+	} else {
+		clear(t.seenPred)
+		clear(t.seenSub)
+	}
+	nPred, nSub := t.nPred, t.nSub
+	for i, ids := range t.sys.PredFvIDs() {
+		if !t.mentionsRenamed(ids) {
+			continue
+		}
+		if t.firstPred[i] {
+			nPred--
+		}
+		p := t.sys.Preds[i]
+		p.E = dpl.RenameVars(p.E, renames)
+		if !t.basePred[p] && !t.preds[p] && !t.seenPred[p] {
+			t.seenPred[p] = true
+			nPred++
+		}
+	}
+	for i, ids := range t.sys.SubsetFvIDs() {
+		if !t.mentionsRenamed(ids[0]) && !t.mentionsRenamed(ids[1]) {
+			continue
+		}
+		if t.firstSub[i] {
+			nSub--
+		}
+		c := t.sys.Subsets[i]
+		c.L, c.R = dpl.RenameVars(c.L, renames), dpl.RenameVars(c.R, renames)
+		if !dpl.Equal(c.L, c.R) && !t.baseSub[c] && !t.subs[c] && !t.seenSub[c] {
+			t.seenSub[c] = true
+			nSub++
+		}
+	}
+	return nSub, nPred + nSub, nil
+}
+
+// mentionsRenamed reports whether a conjunct side's free-variable ids
+// include a renamed symbol.
+func (t *deltaTable) mentionsRenamed(ids []int32) bool {
+	for _, id := range ids {
+		for _, f := range t.fromIDs {
+			if id == f {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // subtractSets removes the conjuncts in the membership sets from a and
