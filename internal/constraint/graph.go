@@ -4,57 +4,15 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"autopart/internal/dpl"
 )
 
-// Label interning: region and function-symbol names are mapped to dense
-// int32 ids in a small process-wide table (copy-on-write, like
-// dpl.SymID but in a separate namespace so graph labels never consume
-// partition-symbol ids). Graph matching compares labels by id — two
-// int32 compares replace two string compares on the hottest loop of
-// CommonSubgraphs.
-var (
-	labelMu    sync.Mutex // serializes writers only
-	labelIDs   atomic.Pointer[map[string]int32]
-	labelNames atomic.Pointer[[]string]
-)
-
-func init() {
-	empty := map[string]int32{}
-	labelIDs.Store(&empty)
-	noNames := []string{}
-	labelNames.Store(&noNames)
-}
-
-// labelID interns a region or function name, assigning the next dense id
-// on first sight. Safe for concurrent use.
-func labelID(name string) int32 {
-	if id, ok := (*labelIDs.Load())[name]; ok {
-		return id
-	}
-	labelMu.Lock()
-	defer labelMu.Unlock()
-	old := *labelIDs.Load()
-	if id, ok := old[name]; ok {
-		return id
-	}
-	id := int32(len(old))
-	next := make(map[string]int32, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = id
-	names := append(append([]string(nil), (*labelNames.Load())...), name)
-	labelNames.Store(&names)
-	labelIDs.Store(&next)
-	return id
-}
-
-// labelName returns the name behind an interned label id.
-func labelName(id int32) string { return (*labelNames.Load())[id] }
+// labels interns region and function-symbol names as dense int32 ids,
+// in a table of its own so graph labels never consume partition-symbol
+// ids. Graph matching compares labels by id — two int32 compares
+// replace two string compares on the hottest loop of CommonSubgraphs.
+var labels dpl.Names
 
 // Predicate-signature bits (Graph.sig): a node's signature records which
 // DISJ/COMP predicates constrain it. The bitmask replaces the former
@@ -274,7 +232,7 @@ func extendGraph(base *Graph, sys *System, fromPred, fromSub int) *Graph {
 		node := g.nodeOf[dpl.SymID(v.Name)]
 		switch p.Kind {
 		case Part:
-			g.region[node] = labelID(p.Region)
+			g.region[node] = labels.ID(p.Region)
 		case Disj:
 			g.sig[node] |= sigDisj
 		case Comp:
@@ -297,11 +255,11 @@ func extendGraph(base *Graph, sys *System, fromPred, fromSub int) *Graph {
 			g.raw = append(g.raw, rawEdge{from: dpl.SymID(l.Name), to: dpl.SymID(to.Name), fn: -1})
 		case dpl.ImageExpr:
 			if from, ok := l.Of.(dpl.Var); ok {
-				g.raw = append(g.raw, rawEdge{from: dpl.SymID(from.Name), to: dpl.SymID(to.Name), fn: labelID(l.Func)})
+				g.raw = append(g.raw, rawEdge{from: dpl.SymID(from.Name), to: dpl.SymID(to.Name), fn: labels.ID(l.Func)})
 			}
 		case dpl.ImageMultiExpr:
 			if from, ok := l.Of.(dpl.Var); ok {
-				g.raw = append(g.raw, rawEdge{from: dpl.SymID(from.Name), to: dpl.SymID(to.Name), fn: labelID(l.Func), multi: true})
+				g.raw = append(g.raw, rawEdge{from: dpl.SymID(from.Name), to: dpl.SymID(to.Name), fn: labels.ID(l.Func), multi: true})
 			}
 		}
 	}
@@ -353,14 +311,14 @@ func (g *Graph) RegionName(node string) string {
 	if i >= len(g.names) || g.names[i] != node || g.region[i] < 0 {
 		return ""
 	}
-	return labelName(g.region[i])
+	return labels.Name(g.region[i])
 }
 
 // edgeOf materializes one raw edge in printable form.
 func (g *Graph) edgeOf(e rawEdge) Edge {
 	out := Edge{From: dpl.SymName(e.from), To: dpl.SymName(e.to), Multi: e.multi}
 	if e.fn >= 0 {
-		out.Func = labelName(e.fn)
+		out.Func = labels.Name(e.fn)
 	}
 	return out
 }
@@ -385,7 +343,7 @@ func (g *Graph) OutEdges(node string) []Edge {
 	for _, e := range g.out(int32(i)) {
 		oe := Edge{From: node, To: g.names[e.to], Multi: e.multi}
 		if e.fn >= 0 {
-			oe.Func = labelName(e.fn)
+			oe.Func = labels.Name(e.fn)
 		}
 		out = append(out, oe)
 	}
@@ -418,7 +376,7 @@ func (g *Graph) Fingerprint() [2]uint64 {
 	for i, name := range g.names {
 		fold(dpl.HashString128(name))
 		if g.region[i] >= 0 {
-			fold(dpl.HashString128(labelName(g.region[i])))
+			fold(dpl.HashString128(labels.Name(g.region[i])))
 		}
 		fold([2]uint64{uint64(g.sig[i]) + 1, uint64(g.sig[i]) + 3})
 	}
@@ -426,7 +384,7 @@ func (g *Graph) Fingerprint() [2]uint64 {
 		fold(dpl.HashString128(dpl.SymName(e.from)))
 		fold(dpl.HashString128(dpl.SymName(e.to)))
 		if e.fn >= 0 {
-			fold(dpl.HashString128(labelName(e.fn)))
+			fold(dpl.HashString128(labels.Name(e.fn)))
 		}
 		m := uint64(5)
 		if e.multi {

@@ -18,13 +18,14 @@ import (
 // and Closed into O(1) lookups on the solver's hot paths (Algorithm 2
 // backtracking, the Algorithm 3 solvability checks).
 //
-// The table is sharded per constructor: instead of one map keyed by the
+// The table has one map per key shape: instead of one map keyed by the
 // Expr interface value (whose lookups must hash the full nested struct
-// through reflection-driven interface hashing), each constructor has its
-// own map keyed by the fields that determine structural identity, with
-// child expressions represented by their interned ids. A Var interns on
-// its name, an ImageExpr on (Of.id, Func, Region), a BinExpr on
-// (Op, L.id, R.id), and so on. Because equal children share an id by
+// through reflection-driven interface hashing), each constructor is keyed
+// by the fields that determine structural identity, with child
+// expressions represented by their interned ids. A Var interns on its
+// name, an EqualExpr on its region, the four image/preimage constructors
+// share one map on (constructor, Of.id, Func, Region), and a BinExpr
+// interns on (Op, L.id, R.id). Because equal children share an id by
 // induction, these flat keys are equivalent to structural equality on the
 // full tree — but a lookup hashes a couple of words and a short string
 // instead of walking the whole expression.
@@ -34,9 +35,10 @@ import (
 // bound it. One process-wide Default table backs the package-level
 // functions; all compiles in a process share it, which is the point —
 // the thousandth compile of a near-identical program finds its
-// expressions already interned. Each table's shard set is an atomically
-// published immutable snapshot (the struct and the one modified shard map
-// are copied on insert) and safe for concurrent use; the parallel
+// expressions already interned. Every map of a table is a read-mostly
+// rmap: a lookup of a published entry takes no lock, a first sight
+// goes into a locked dirty map (first writer wins), and an insert never
+// copies the table. A table is safe for concurrent use; the parallel
 // unification checks intern from multiple goroutines.
 //
 // Epoch-based reclamation bounds a table. Interned ids (expression ids
@@ -46,27 +48,27 @@ import (
 // compile therefore pins the generation for its whole duration by holding
 // an Epoch (Enter/Leave); reclamation requested by SetMaxEntries overflow
 // is deferred until the last active epoch leaves, at which point the
-// shard maps and the symbol table are swapped for empty ones and the
-// generation counter advances. Content hashes (Hash128) depend only on
-// the canonical rendering, so caches keyed by them — the solver's
+// expression maps and the symbol table are emptied and the generation
+// counter advances. Content hashes (Hash128) depend only on the
+// canonical rendering, so caches keyed by them — the solver's
 // cross-compile memo cache in particular — survive reclamation unharmed.
 // Code that interns outside any epoch is only safe against an unbounded
 // table (the default); bounded tables are a compile-service concern, and
 // the service wraps every compile in an epoch.
 
-// Table is one expression + symbol intern table instance: the sharded
-// expression maps, the dense symbol-id table, per-instance stats
-// counters, and the epoch/reclamation machinery. The zero value is not
-// usable; call NewTable.
+// Table is one expression + symbol intern table instance: one map per
+// expression key shape, the dense symbol table, per-instance stats
+// counters, and the epoch/reclamation machinery. Construct it with
+// NewTable.
 type Table struct {
-	symMu    sync.Mutex // serializes symbol writers only
-	symIDs   atomic.Pointer[map[string]int32]
-	symNames atomic.Pointer[[]string]
+	vars   rmap[string, *exprInfo] // Var by name
+	equals rmap[string, *exprInfo] // EqualExpr by region
+	ops    rmap[opKey, *exprInfo]  // the four image/preimage constructors
+	bins   rmap[binKey, *exprInfo] // BinExpr
+	syms   Names
 
-	internMu sync.Mutex // serializes expression writers only
-	shards   atomic.Pointer[internShards]
-	seq      uint64
-	entries  int // total expression entries, maintained under internMu
+	seq   atomic.Uint64           // last expression id handed out
+	sizes [numShards]atomic.Int64 // entries per constructor
 
 	// statsOn gates the per-shard hit/miss counters. Off by default so
 	// the hot path pays only one atomic bool load. statsGen advances on
@@ -88,27 +90,7 @@ type Table struct {
 }
 
 // NewTable returns an empty, unbounded intern table.
-func NewTable() *Table {
-	t := &Table{}
-	t.shards.Store(freshShards())
-	emptySyms := map[string]int32{}
-	t.symIDs.Store(&emptySyms)
-	noNames := []string{}
-	t.symNames.Store(&noNames)
-	return t
-}
-
-func freshShards() *internShards {
-	return &internShards{
-		vars:           map[string]*exprInfo{},
-		equals:         map[string]*exprInfo{},
-		images:         map[opKey]*exprInfo{},
-		preimages:      map[opKey]*exprInfo{},
-		imagesMulti:    map[opKey]*exprInfo{},
-		preimagesMulti: map[opKey]*exprInfo{},
-		bins:           map[binKey]*exprInfo{},
-	}
-}
+func NewTable() *Table { return &Table{} }
 
 // defaultTable backs the package-level functions. Every compile in the
 // process shares it unless a caller threads its own Table explicitly.
@@ -167,9 +149,11 @@ func (t *Table) Reclaims() uint64 { return t.reclaims.Load() }
 
 // Entries reports the current number of interned expressions.
 func (t *Table) Entries() int {
-	t.internMu.Lock()
-	defer t.internMu.Unlock()
-	return t.entries
+	n := int64(0)
+	for i := range t.sizes {
+		n += t.sizes[i].Load()
+	}
+	return int(n)
 }
 
 // SetMaxEntries bounds the table: once the expression entry count
@@ -181,10 +165,7 @@ func (t *Table) SetMaxEntries(n int) {
 	if n <= 0 {
 		return
 	}
-	t.internMu.Lock()
-	total := t.entries
-	t.internMu.Unlock()
-	t.noteGrowth(total)
+	t.noteGrowth()
 }
 
 // Reset discards every entry immediately, bumping the generation. It
@@ -201,34 +182,32 @@ func (t *Table) Reset() bool {
 	return true
 }
 
-// resetLocked swaps in empty tables. Caller holds epochMu with
-// active == 0, so no epoch-holding reader can observe the swap midway;
-// readers outside any epoch must tolerate id reassignment (only safe on
+// resetLocked empties the table. Caller holds epochMu with active == 0,
+// so no epoch-holding reader can observe the reset midway; readers
+// outside any epoch must tolerate id reassignment (only safe on
 // unbounded tables, where this path never runs spontaneously).
 func (t *Table) resetLocked() {
-	t.internMu.Lock()
-	t.shards.Store(freshShards())
-	t.seq = 0
-	t.entries = 0
-	t.internMu.Unlock()
-	t.symMu.Lock()
-	emptySyms := map[string]int32{}
-	t.symIDs.Store(&emptySyms)
-	noNames := []string{}
-	t.symNames.Store(&noNames)
-	t.symMu.Unlock()
+	t.vars.reset()
+	t.equals.reset()
+	t.ops.reset()
+	t.bins.reset()
+	t.syms.reset()
+	t.seq.Store(0)
+	for i := range t.sizes {
+		t.sizes[i].Store(0)
+	}
 	t.generation++
 	t.reclaims.Add(1)
 	t.needsReset = false
 }
 
-// noteGrowth checks the bound after an insert raised the entry count to
-// total, scheduling (or, with no active epochs, performing) a
-// reclamation on overflow. Called without internMu held — resetLocked
-// takes it, and lock order is epochMu before internMu everywhere.
-func (t *Table) noteGrowth(total int) {
+// noteGrowth checks the bound after an insert raised the entry count,
+// scheduling (or, with no active epochs, performing) a reclamation on
+// overflow. Called with no map lock held — resetLocked takes them, and
+// lock order is epochMu before any map lock everywhere.
+func (t *Table) noteGrowth() {
 	max := t.maxEntries.Load()
-	if max <= 0 || int64(total) <= max {
+	if max <= 0 || int64(t.Entries()) <= max {
 		return
 	}
 	t.epochMu.Lock()
@@ -248,32 +227,11 @@ func (t *Table) noteGrowth(total int) {
 // they never appear in output.
 
 // SymID returns the dense interned id of a symbol name, assigning the
-// next id on first sight. Safe for concurrent use (copy-on-write, like
-// the expression table).
-func (t *Table) SymID(name string) int32 {
-	if id, ok := (*t.symIDs.Load())[name]; ok {
-		return id
-	}
-	t.symMu.Lock()
-	defer t.symMu.Unlock()
-	old := *t.symIDs.Load()
-	if id, ok := old[name]; ok {
-		return id
-	}
-	id := int32(len(old))
-	next := make(map[string]int32, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = id
-	names := append(append([]string(nil), (*t.symNames.Load())...), name)
-	t.symNames.Store(&names)
-	t.symIDs.Store(&next)
-	return id
-}
+// next id on first sight. Safe for concurrent use.
+func (t *Table) SymID(name string) int32 { return t.syms.ID(name) }
 
 // SymName returns the name behind an interned symbol id.
-func (t *Table) SymName(id int32) string { return (*t.symNames.Load())[id] }
+func (t *Table) SymName(id int32) string { return t.syms.Name(id) }
 
 // SymID interns a symbol name in the default table.
 func SymID(name string) int32 { return defaultTable.SymID(name) }
@@ -437,12 +395,15 @@ func (h *Hasher128) WriteByte(b byte) error {
 // Sum128 returns the hash of everything written so far.
 func (h *Hasher128) Sum128() [2]uint64 { return [2]uint64{h.h1, h.h2} }
 
-// opKey identifies an image/preimage expression by its interned child
-// and the two string fields. All four unary-op shards share this shape.
+// opKey identifies an image/preimage expression by its interned child,
+// its constructor and the two string fields. The four unary-op
+// constructors share one map; the shard field keeps them apart. It
+// follows of so that the two hash as one run of memory.
 type opKey struct {
-	of  uint64 // interned id of the operand expression
-	fn  string
-	reg string
+	of    uint64 // interned id of the operand expression
+	shard uint8  // shardImage, shardPreimage, shardImageMulti or shardPreimageMulti
+	fn    string
+	reg   string
 }
 
 // binKey identifies a BinExpr by operator and interned operand ids.
@@ -451,21 +412,7 @@ type binKey struct {
 	l, r uint64
 }
 
-// internShards is one immutable snapshot of the whole intern table,
-// split per constructor. Readers load the snapshot with one atomic
-// pointer load and index the shard matching the expression's type;
-// writers copy the struct plus the single shard they modify.
-type internShards struct {
-	vars           map[string]*exprInfo
-	equals         map[string]*exprInfo
-	images         map[opKey]*exprInfo
-	preimages      map[opKey]*exprInfo
-	imagesMulti    map[opKey]*exprInfo
-	preimagesMulti map[opKey]*exprInfo
-	bins           map[binKey]*exprInfo
-}
-
-// Shard indices for the stats counters, ordered as in internShards.
+// Shard indices for the stats counters, one per constructor.
 const (
 	shardVar = iota
 	shardEqual
@@ -519,16 +466,11 @@ type InternShardStat struct {
 func (t *Table) Stats() []InternShardStat {
 	for {
 		gen := t.statsGen.Load()
-		tab := t.shards.Load()
-		sizes := [numShards]int{
-			len(tab.vars), len(tab.equals), len(tab.images), len(tab.preimages),
-			len(tab.imagesMulti), len(tab.preimagesMulti), len(tab.bins),
-		}
 		out := make([]InternShardStat, numShards)
 		for i := range out {
 			out[i] = InternShardStat{
 				Shard:   shardNames[i],
-				Entries: sizes[i],
+				Entries: int(t.sizes[i].Load()),
 				Hits:    t.hits[i].Load(),
 				Misses:  t.misses[i].Load(),
 			}
@@ -556,144 +498,86 @@ func (t *Table) Key(e Expr) string { return t.info(e).key }
 //
 // The fast path interns composite expressions bottom-up: looking up an
 // ImageExpr first interns its operand (usually a hit) to obtain the id
-// the shard key needs. That keeps every map lookup flat — no interface
+// the map key needs. That keeps every map lookup flat — no interface
 // hashing of nested trees — at the cost of one recursion level per AST
-// node on the first sight of each subtree.
+// node on the first sight of each subtree. Each hit inlines into info
+// (a lookup plus a call is over the compiler's inlining budget, so the
+// call to intern stays here); the four image/preimage constructors share
+// one tail.
 func (t *Table) info(e Expr) *exprInfo {
-	statsOn := t.statsOn.Load()
+	var k opKey
 	switch x := e.(type) {
 	case Var:
-		if in, ok := shardLookup(t, t.shards.Load().vars, x.Name, shardVar, statsOn); ok {
+		if in, ok := hit(t, &t.vars, x.Name); ok {
 			return in
 		}
+		return intern(t, &t.vars, x.Name, shardVar, e)
 	case EqualExpr:
-		if in, ok := shardLookup(t, t.shards.Load().equals, x.Region, shardEqual, statsOn); ok {
+		if in, ok := hit(t, &t.equals, x.Region); ok {
 			return in
 		}
-	case ImageExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if in, ok := shardLookup(t, t.shards.Load().images, k, shardImage, statsOn); ok {
-			return in
-		}
-	case PreimageExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if in, ok := shardLookup(t, t.shards.Load().preimages, k, shardPreimage, statsOn); ok {
-			return in
-		}
-	case ImageMultiExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if in, ok := shardLookup(t, t.shards.Load().imagesMulti, k, shardImageMulti, statsOn); ok {
-			return in
-		}
-	case PreimageMultiExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if in, ok := shardLookup(t, t.shards.Load().preimagesMulti, k, shardPreimageMulti, statsOn); ok {
-			return in
-		}
+		return intern(t, &t.equals, x.Region, shardEqual, e)
 	case BinExpr:
-		k := binKey{op: x.Op, l: t.info(x.L).id, r: t.info(x.R).id}
-		if in, ok := shardLookup(t, t.shards.Load().bins, k, shardBin, statsOn); ok {
+		kb := binKey{x.Op, t.info(x.L).id, t.info(x.R).id}
+		if in, ok := hit(t, &t.bins, kb); ok {
 			return in
 		}
+		return intern(t, &t.bins, kb, shardBin, e)
+	case ImageExpr:
+		k = opKey{t.info(x.Of).id, shardImage, x.Func, x.Region}
+	case PreimageExpr:
+		k = opKey{t.info(x.Of).id, shardPreimage, x.Func, x.Region}
+	case ImageMultiExpr:
+		k = opKey{t.info(x.Of).id, shardImageMulti, x.Func, x.Region}
+	case PreimageMultiExpr:
+		k = opKey{t.info(x.Of).id, shardPreimageMulti, x.Func, x.Region}
+	default:
+		// Unreachable (isExpr restricts implementations to this package);
+		// hand back the computed metadata without caching it.
+		in := t.computeInfo(e)
+		in.id = t.seq.Add(1)
+		return in
 	}
-	return t.internSlow(e)
+	if in, ok := hit(t, &t.ops, k); ok {
+		return in
+	}
+	return intern(t, &t.ops, k, int(k.shard), e)
 }
 
-// shardLookup is the generic body behind Table.shardLookup; split out
-// because methods cannot have type parameters.
-func shardLookup[K comparable](t *Table, m map[K]*exprInfo, k K, shard int, statsOn bool) (*exprInfo, bool) {
-	in, ok := m[k]
-	if statsOn {
+// hit is the lock-free lookup of a published entry. It reports a miss
+// while stats are on, so that intern counts every lookup.
+func hit[K comparable](t *Table, m *rmap[K, *exprInfo], k K) (*exprInfo, bool) {
+	in, ok := m.load(k)
+	return in, ok && !t.statsOn.Load()
+}
+
+// intern counts the lookup when stats are on and inserts a newly seen
+// expression under k. The metadata is computed before any lock is
+// taken: computeInfo recursively interns every child, which may lock
+// this same map.
+func intern[K comparable](t *Table, m *rmap[K, *exprInfo], k K, shard int, e Expr) *exprInfo {
+	in, ok := m.load(k)
+	if !ok {
+		in, ok = m.loadSlow(k)
+	}
+	if t.statsOn.Load() {
 		if ok {
 			t.hits[shard].Add(1)
 		} else {
 			t.misses[shard].Add(1)
 		}
 	}
-	return in, ok
-}
-
-// copyInsert clones a shard map with one extra entry.
-func copyInsert[K comparable](m map[K]*exprInfo, k K, in *exprInfo) map[K]*exprInfo {
-	next := make(map[K]*exprInfo, len(m)+1)
-	for kk, vv := range m {
-		next[kk] = vv
-	}
-	next[k] = in
-	return next
-}
-
-// internSlow inserts a newly seen expression. The metadata is computed
-// before the lock is taken — computeInfo recursively interns every
-// child, so the shard keys below are guaranteed hits and cannot
-// re-enter the lock.
-func (t *Table) internSlow(e Expr) *exprInfo {
-	in := t.computeInfo(e)
-	t.internMu.Lock()
-	tab := *t.shards.Load() // shallow struct copy; shard maps still shared
-	switch x := e.(type) {
-	case Var:
-		if prior, ok := tab.vars[x.Name]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.vars = copyInsert(tab.vars, x.Name, in)
-	case EqualExpr:
-		if prior, ok := tab.equals[x.Region]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.equals = copyInsert(tab.equals, x.Region, in)
-	case ImageExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if prior, ok := tab.images[k]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.images = copyInsert(tab.images, k, in)
-	case PreimageExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if prior, ok := tab.preimages[k]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.preimages = copyInsert(tab.preimages, k, in)
-	case ImageMultiExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if prior, ok := tab.imagesMulti[k]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.imagesMulti = copyInsert(tab.imagesMulti, k, in)
-	case PreimageMultiExpr:
-		k := opKey{of: t.info(x.Of).id, fn: x.Func, reg: x.Region}
-		if prior, ok := tab.preimagesMulti[k]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.preimagesMulti = copyInsert(tab.preimagesMulti, k, in)
-	case BinExpr:
-		k := binKey{op: x.Op, l: t.info(x.L).id, r: t.info(x.R).id}
-		if prior, ok := tab.bins[k]; ok {
-			t.internMu.Unlock()
-			return prior
-		}
-		tab.bins = copyInsert(tab.bins, k, in)
-	default:
-		// Unreachable (isExpr restricts implementations to this package);
-		// hand back the computed metadata without caching it.
-		t.seq++
-		in.id = t.seq
-		t.internMu.Unlock()
+	if ok {
 		return in
 	}
-	t.seq++
-	in.id = t.seq
-	t.shards.Store(&tab)
-	t.entries++
-	total := t.entries
-	t.internMu.Unlock()
-	t.noteGrowth(total)
+	in = t.computeInfo(e)
+	// A writer that loses the race wastes its id; ids stay unique.
+	in.id = t.seq.Add(1)
+	in, stored := m.loadOrStore(k, in)
+	if stored {
+		t.sizes[shard].Add(1)
+		t.noteGrowth()
+	}
 	return in
 }
 

@@ -33,7 +33,7 @@ import (
 type MemoCache struct {
 	mu       sync.Mutex
 	cap      int
-	cur, old map[memoKey]bool
+	verdicts twoGen[bool]
 	// hits/misses count verdict-cache lookups (solvable + closed): every
 	// miss is work a warmer cache would have skipped. nodeHits/nodeMisses
 	// count refuted-subtree lookups separately — that memo is a
@@ -42,7 +42,6 @@ type MemoCache struct {
 	// failures and must not dilute the hit rate.
 	hits, misses         uint64
 	nodeHits, nodeMisses uint64
-	evictions            uint64
 
 	// The unification-round memo caches Algorithm 3's per-round greedy
 	// winner (the committed rename set, or the absence of one) keyed by
@@ -51,10 +50,46 @@ type MemoCache struct {
 	// systems. Recompiles of a near-identical program replay the same
 	// rounds, so a warm service skips subgraph matching and candidate
 	// solvability checks entirely for every unchanged round. Bounded by
-	// the same two-generation rotation as the verdict maps.
-	unifyCur, unifyOld     map[memoKey]unifyWinner
+	// the same two-generation rotation as the verdicts.
+	rounds                 twoGen[unifyWinner]
 	unifyHits, unifyMisses uint64
 }
+
+// twoGen is one two-generation rotating map: inserts go to cur; when
+// cur holds limit entries, old is dropped (counted in evictions) and cur
+// takes its place. Lookups hit both generations and promote old hits.
+// The caller serializes access.
+type twoGen[V any] struct {
+	cur, old  map[memoKey]V
+	evictions uint64
+}
+
+// get returns the value stored under k, promoting an old-generation hit
+// into the current generation.
+func (g *twoGen[V]) get(k memoKey, limit int) (V, bool) {
+	if v, ok := g.cur[k]; ok {
+		return v, true
+	}
+	v, ok := g.old[k]
+	if ok {
+		g.put(k, v, limit)
+	}
+	return v, ok
+}
+
+// put stores v under k, rotating generations at capacity.
+func (g *twoGen[V]) put(k memoKey, v V, limit int) {
+	if g.cur == nil {
+		g.cur = map[memoKey]V{}
+	} else if len(g.cur) >= limit {
+		g.evictions += uint64(len(g.old))
+		g.old = g.cur
+		g.cur = make(map[memoKey]V, 1024)
+	}
+	g.cur[k] = v
+}
+
+func (g *twoGen[V]) len() int { return len(g.cur) + len(g.old) }
 
 // unifyWinner is one memoized unification-round outcome. A nil Renames
 // with ok=true records "no winner: stop unifying this system".
@@ -99,7 +134,7 @@ func NewMemoCache(capacity int) *MemoCache {
 	if capacity <= 0 {
 		capacity = DefaultMemoCacheCap
 	}
-	return &MemoCache{cap: capacity, cur: map[memoKey]bool{}}
+	return &MemoCache{cap: capacity}
 }
 
 // lookup returns the cached verdict and whether it was present,
@@ -107,17 +142,9 @@ func NewMemoCache(capacity int) *MemoCache {
 func (c *MemoCache) lookup(k memoKey) (verdict, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, hit := c.cur[k]; hit {
-		c.countLocked(k.kind, true)
-		return v, true
-	}
-	if v, hit := c.old[k]; hit {
-		c.countLocked(k.kind, true)
-		c.insertLocked(k, v)
-		return v, true
-	}
-	c.countLocked(k.kind, false)
-	return false, false
+	verdict, ok = c.verdicts.get(k, c.cap)
+	c.countLocked(k.kind, ok)
+	return verdict, ok
 }
 
 func (c *MemoCache) countLocked(kind memoKind, hit bool) {
@@ -136,53 +163,28 @@ func (c *MemoCache) countLocked(kind memoKind, hit bool) {
 // store records a verdict, rotating generations at capacity.
 func (c *MemoCache) store(k memoKey, v bool) {
 	c.mu.Lock()
-	c.insertLocked(k, v)
+	c.verdicts.put(k, v, c.cap)
 	c.mu.Unlock()
-}
-
-func (c *MemoCache) insertLocked(k memoKey, v bool) {
-	if len(c.cur) >= c.cap {
-		c.evictions += uint64(len(c.old))
-		c.old = c.cur
-		c.cur = make(map[memoKey]bool, 1024)
-	}
-	c.cur[k] = v
 }
 
 // lookupUnify returns the memoized round winner for k, if present.
 func (c *MemoCache) lookupUnify(k memoKey) (unifyWinner, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w, hit := c.unifyCur[k]; hit {
+	w, ok := c.rounds.get(k, c.cap)
+	if ok {
 		c.unifyHits++
-		return w, true
+	} else {
+		c.unifyMisses++
 	}
-	if w, hit := c.unifyOld[k]; hit {
-		c.unifyHits++
-		c.insertUnifyLocked(k, w)
-		return w, true
-	}
-	c.unifyMisses++
-	return unifyWinner{}, false
+	return w, ok
 }
 
 // storeUnify records a round winner, rotating generations at capacity.
 func (c *MemoCache) storeUnify(k memoKey, w unifyWinner) {
 	c.mu.Lock()
-	c.insertUnifyLocked(k, w)
+	c.rounds.put(k, w, c.cap)
 	c.mu.Unlock()
-}
-
-func (c *MemoCache) insertUnifyLocked(k memoKey, w unifyWinner) {
-	if c.unifyCur == nil {
-		c.unifyCur = map[memoKey]unifyWinner{}
-	}
-	if len(c.unifyCur) >= c.cap {
-		c.evictions += uint64(len(c.unifyOld))
-		c.unifyOld = c.unifyCur
-		c.unifyCur = make(map[memoKey]unifyWinner, 1024)
-	}
-	c.unifyCur[k] = w
 }
 
 // MemoCacheStats is a point-in-time snapshot of cache activity.
@@ -226,8 +228,8 @@ func (c *MemoCache) Stats() MemoCacheStats {
 		NodeMisses:  c.nodeMisses,
 		UnifyHits:   c.unifyHits,
 		UnifyMisses: c.unifyMisses,
-		Evictions:   c.evictions,
-		Entries:     len(c.cur) + len(c.old) + len(c.unifyCur) + len(c.unifyOld),
+		Evictions:   c.verdicts.evictions + c.rounds.evictions,
+		Entries:     c.verdicts.len() + c.rounds.len(),
 	}
 }
 

@@ -663,25 +663,20 @@ func mergeWithBase(prefix, add *constraint.System, basePred map[constraint.Pred]
 // loops: unify, solve, and post-process the DPL program (nested-
 // subexpression reuse plus CSE). It uses a private per-compile memo
 // cache; a compile service shares verdicts across compiles through
-// SolveProgramWith.
+// SolveProgramPartial.
 func SolveProgram(results []*infer.Result, external *constraint.System, externalSyms []string) (*Solution, error) {
-	return SolveProgramWith(results, external, externalSyms, nil)
+	return SolveProgramPartial(results, external, externalSyms, nil, nil)
 }
 
-// SolveProgramWith is SolveProgram with an injected cross-compile memo
-// cache (nil selects a private one). Verdict reuse never changes output:
+// SolveProgramPartial is SolveProgram with an injected cross-compile
+// memo cache (nil selects a private one) and the program's declared-
+// partial index function set. Verdict reuse never changes output:
 // cached solvability/closed/refuted verdicts are exactly what the
 // searches would recompute, so a warm cache accelerates the same
-// byte-identical solution.
-func SolveProgramWith(results []*infer.Result, external *constraint.System, externalSyms []string, cache *MemoCache) (*Solution, error) {
-	return SolveProgramPartial(results, external, externalSyms, cache, nil)
-}
-
-// SolveProgramPartial is SolveProgramWith plus the program's declared-
-// partial index function set: provers refuse totality-dependent lemmas
-// (L7) on those functions, and the memo context is keyed on the set so
-// a shared cache never serves total-world verdicts to a partial-world
-// program.
+// byte-identical solution. Provers refuse totality-dependent lemmas
+// (L7) on the partial functions, and the memo context is keyed on the
+// set so a shared cache never serves total-world verdicts to a
+// partial-world program.
 func SolveProgramPartial(results []*infer.Result, external *constraint.System, externalSyms []string, cache *MemoCache, partialFns map[string]bool) (*Solution, error) {
 	s := NewWithCache(external, externalSyms, cache)
 	if len(partialFns) > 0 {
