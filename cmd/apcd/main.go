@@ -1,6 +1,6 @@
 // Command apcd is the auto-partitioning compile daemon: the pkg/autopart
 // Service exposed over HTTP. Clients POST programs to compile —
-// concurrent requests share one solver memo cache and one pooled,
+// concurrent requests share one solver memo cache and one
 // epoch-managed intern table, so a warm daemon answers most solver
 // verdict lookups from cache — and then query the retained results
 // through the structured view facade (program, constraints, launches,

@@ -149,8 +149,8 @@ type sysIndex struct {
 }
 
 // ensureIdx builds the id index if the system has been mutated (or never
-// indexed). Not safe for concurrent first use on a shared system; the
-// solver pre-warms shared read-only systems before going parallel.
+// indexed). Not safe for concurrent first use on a shared system: a
+// System is indexed by the one goroutine that solves over it.
 func (s *System) ensureIdx() *sysIndex {
 	if s.idx != nil {
 		return s.idx

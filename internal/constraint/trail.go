@@ -12,8 +12,7 @@ import (
 // index pointer, so index reuse across sibling nodes is free.
 //
 // A Trail is bound to a single System and is not safe for concurrent use;
-// parallel solvability checks each run their own trail over their own
-// system.
+// each solvability check runs its own trail over its own system.
 type Trail struct {
 	sys *System
 	ops []trailOp

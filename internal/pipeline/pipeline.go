@@ -107,12 +107,12 @@ func NewSession(src string, cfg Config) *Session {
 }
 
 // Reset reinitializes the session for a new compilation, dropping every
-// artifact and diagnostic while keeping the allocation itself alive.
-// Services pool Sessions across requests; Reset is the recycling step.
-// The retained incremental state survives Reset — it describes the last
-// successful compile, which is exactly what the next incremental
-// compile diffs against (stale state is rejected by its fingerprints,
-// so carrying it across unrelated sources is safe, just useless).
+// artifact and diagnostic. A Service resets each keyed incremental
+// session before recompiling it. The retained incremental state
+// survives Reset — it describes the last successful compile, which is
+// exactly what the next incremental compile diffs against (stale state
+// is rejected by its fingerprints, so carrying it across unrelated
+// sources is safe, just useless).
 func (s *Session) Reset(src string, cfg Config) {
 	incr := s.Incr
 	*s = Session{Source: src, File: "<input>", Config: cfg, Incr: incr}

@@ -30,7 +30,7 @@ func example2System() *constraint.System {
 // instead of hanging or panicking.
 func TestSolveBudgetExhaustionSurfacesS001(t *testing.T) {
 	s := New(nil, nil)
-	s.SetBudget(1) // the first recursive step already exceeds this
+	s.budget = 1 // the first recursive step already exceeds this
 	_, err := s.Solve(example2System())
 	if err == nil {
 		t.Fatal("expected budget-exhausted solve to fail")
@@ -52,11 +52,11 @@ func TestSolveBudgetExhaustionSurfacesS001(t *testing.T) {
 // even with a restored budget.
 func TestSolveBudgetIsolatedBetweenRuns(t *testing.T) {
 	s := New(nil, nil)
-	s.SetBudget(2)
+	s.budget = 2
 	if _, err := s.Solve(example2System()); err == nil {
 		t.Fatal("expected exhausted solve to fail")
 	}
-	s.SetBudget(200000)
+	s.budget = 200000
 	prog, err := s.Solve(example2System())
 	if err != nil {
 		t.Fatalf("retry with restored budget failed (stale memo or corrupted budget): %v", err)

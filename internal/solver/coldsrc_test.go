@@ -76,11 +76,11 @@ func decisionsOf(st solver.SolveStats) decisionStats {
 }
 
 // TestSolveDecisionsPinned pins the solver's decision counters on the
-// compile-cold sources, compiled sequentially from an empty intern
-// table. Equal output alone would not show a change in which
-// candidates Algorithm 3 checks, when the same winner is committed; the
-// candidate-check memo lookups, the search nodes behind them and the
-// graph cache's activity do.
+// compile-cold sources, compiled from an empty intern table with four
+// workers, so the counters hold whatever the worker count. Equal output
+// alone would not show a change in which candidates Algorithm 3 checks,
+// when the same winner is committed; the candidate-check memo lookups,
+// the search nodes behind them and the graph cache's activity do.
 func TestSolveDecisionsPinned(t *testing.T) {
 	want := map[string]decisionStats{
 		"spmv":         {Nodes: 7, ClosedMisses: 1, UnifyRoundMisses: 1, GraphBuilds: 1},
@@ -92,8 +92,8 @@ func TestSolveDecisionsPinned(t *testing.T) {
 		"pennant-h2":   {Nodes: 76, MemoMisses: 2, ClosedHits: 1, ClosedMisses: 2, UnifyRoundMisses: 39, GraphBuilds: 1, GraphExtends: 7},
 		"synth50":      {Nodes: 4, ClosedMisses: 1, UnifyRoundMisses: 50, GraphBuilds: 1, GraphExtends: 1},
 	}
-	par.SetSequential(true)
-	defer par.SetSequential(false)
+	par.SetWorkers(4)
+	defer par.SetWorkers(0)
 	for _, p := range compileColdSources() {
 		name, src := p[0], p[1]
 		dpl.Default().Reset()
@@ -109,31 +109,26 @@ func TestSolveDecisionsPinned(t *testing.T) {
 }
 
 // TestDeltaTableMatchesRenamedCounts compiles the compile-cold sources
-// and 200 generated programs, in both unification modes. Every §3.2
-// test their unification rounds make, one per mapping the common-
-// subgraph walk yields, is held by the package's checkDelta against the
-// count over a renamed copy of the system, and the table it read
-// against a fresh one (the random and chained rename maps are in
-// TestDeltaTableRandomRenames).
+// and 200 generated programs. Every §3.2 test their unification rounds
+// make, one per mapping the common-subgraph walk yields, is held by the
+// package's checkDelta against the count over a renamed copy of the
+// system, and the table it read against a fresh one (the random and
+// chained rename maps are in TestDeltaTableRandomRenames).
 func TestDeltaTableMatchesRenamedCounts(t *testing.T) {
 	srcs := compileColdSources()
 	for seed := int64(0); seed < 200; seed++ {
 		srcs = append(srcs, [2]string{"gen", gen.Generate(seed, gen.Small).Src})
 	}
-	defer par.SetSequential(false)
-	for _, sequential := range []bool{true, false} {
-		par.SetSequential(sequential)
-		before := solver.DeltaChecks()
-		for _, p := range srcs {
-			// Some generated programs are rejected; the checks cover
-			// whatever unification rounds a compile reaches.
-			_, _ = autopart.Compile(p[1], autopart.Options{})
-		}
-		n := solver.DeltaChecks() - before
-		t.Logf("sequential=%v: %d delta tests checked", sequential, n)
-		if n < 1000 {
-			t.Errorf("sequential=%v: only %d delta tests checked", sequential, n)
-		}
+	before := solver.DeltaChecks()
+	for _, p := range srcs {
+		// Some generated programs are rejected; the checks cover
+		// whatever unification rounds a compile reaches.
+		_, _ = autopart.Compile(p[1], autopart.Options{})
+	}
+	n := solver.DeltaChecks() - before
+	t.Logf("%d delta tests checked", n)
+	if n < 1000 {
+		t.Errorf("only %d delta tests checked", n)
 	}
 }
 

@@ -9,15 +9,12 @@
 // The solver's data-plane is built for speed without changing output:
 // expressions are hash-consed (package dpl), the working system is
 // mutated in place under an undo trail so a backtracking node costs
-// O(delta) instead of a full copy, solvability verdicts are memoized by
-// canonical system fingerprint, and Algorithm 3's per-round candidate
-// checks run in parallel on the shared worker pool with a deterministic
-// winner.
+// O(delta) instead of a full copy, and solvability verdicts are memoized
+// by canonical system fingerprint. Algorithm 3 checks each round's
+// candidates in one greedy loop, committing the first that passes.
 package solver
 
 import (
-	"sync"
-
 	"autopart/internal/constraint"
 	"autopart/internal/dpl"
 	"autopart/internal/lang"
@@ -96,8 +93,9 @@ type extCandidate struct {
 	comp   bool
 }
 
-// Solver holds the fixed context of one solving run. The caches are
-// guarded by mu: parallel unification checks share them.
+// Solver holds the fixed context of one solving run. A Solver is used
+// by one goroutine; only its memo cache may be shared with other
+// solvers.
 type Solver struct {
 	external     *constraint.System
 	externalSyms map[string]bool
@@ -113,8 +111,8 @@ type Solver struct {
 	extCands    []extCandidate
 	// budget caps backtracking work per Solve call; solving is reported
 	// as failed if exceeded (never hit by realistic systems). Each
-	// search carries its own countdown, so concurrent and nested
-	// searches never corrupt the configured cap.
+	// search carries its own countdown, so an exhausted search never
+	// dents the cap of later ones.
 	budget int
 
 	// cache stores the three verdict memos — solvability (Algorithm 3's
@@ -135,7 +133,6 @@ type Solver struct {
 	// provers built by the search must refuse totality lemmas on them.
 	partialFns map[string]bool
 
-	mu    sync.Mutex
 	stats SolveStats
 }
 
@@ -169,12 +166,6 @@ func NewWithCache(external *constraint.System, externalSyms []string, cache *Mem
 		s.externalIDs.Add(dpl.SymID(sym))
 	}
 	s.collectExternalCandidates()
-	// Pre-warm the external system's indexes (both the string view the
-	// provers read and the id view the search reads): parallel
-	// solvability checks hit them concurrently, and the lazy builds are
-	// not themselves synchronized.
-	s.external.RegionOfSym("")
-	s.external.RegionOfSymID(-1)
 	return s
 }
 
@@ -192,19 +183,8 @@ func (s *Solver) SetPartialFns(fns map[string]bool) {
 	s.collectExternalCandidates()
 }
 
-// SetBudget overrides the per-Solve backtracking node cap. Each Solve
-// call hands its search a private countdown initialized from the
-// configured cap, so an exhausted run never dents the budget of later
-// runs; the setter exists for tests and for callers tuning the cap to
-// adversarial inputs.
-func (s *Solver) SetBudget(n int) { s.budget = n }
-
 // Stats returns a snapshot of the solver's cache and search counters.
-func (s *Solver) Stats() SolveStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
+func (s *Solver) Stats() SolveStats { return s.stats }
 
 // collectExternalCandidates gathers the compound expressions of external
 // DISJ/COMP assertions as assignment candidates (reusing user partitions
@@ -303,9 +283,9 @@ type symRef struct {
 }
 
 // search is one backtracking run of Algorithm 2 over one working system.
-// It owns its budget countdown and undo trail, so concurrent searches
-// (the parallel Algorithm 3 checks) are fully isolated; only the memo
-// lookups go through the shared, locked Solver caches.
+// It owns its budget countdown and undo trail, so each Algorithm 3
+// check and the final Solve run apart; only the memo lookups go through
+// the Solver's cache.
 type search struct {
 	s     *Solver
 	c     *constraint.System
@@ -316,24 +296,12 @@ type search struct {
 	// point may be budget-caused, so they are never recorded as
 	// refutations in the node memo.
 	exhausted bool
-	// local stat counters, folded into Solver.stats when the search ends.
-	nodes, closedHits, closedMisses, nodeHits int
 }
 
 // newSearch prepares a search over a private clone of sys.
 func (s *Solver) newSearch(sys *constraint.System, budget int) *search {
 	work := sys.Clone()
 	return &search{s: s, c: work, trail: constraint.NewTrail(work), budget: budget}
-}
-
-// finish folds the search's local counters into the solver stats.
-func (sr *search) finish() {
-	sr.s.mu.Lock()
-	sr.s.stats.Nodes += sr.nodes
-	sr.s.stats.ClosedHits += sr.closedHits
-	sr.s.stats.ClosedMisses += sr.closedMisses
-	sr.s.stats.NodeHits += sr.nodeHits
-	sr.s.mu.Unlock()
 }
 
 // Solve resolves a single constraint system: it synthesizes a DPL
@@ -345,7 +313,6 @@ func (s *Solver) Solve(sys *constraint.System) (dpl.Program, error) {
 	// symbols are never assigned.
 	sr := s.newSearch(sys, s.budget)
 	eqs, ok := sr.solve(nil, s.unresolved(sr.c))
-	sr.finish()
 	if !ok {
 		return dpl.Program{}, lang.Errorf("S001", lang.Span{}, "solver: no solution for constraint system:\n%s", sys)
 	}
@@ -443,8 +410,8 @@ func (sr *search) solve(sol []equation, syms []symRef) ([]equation, bool) {
 		return nil, false
 	}
 	sr.budget--
-	sr.nodes++
 	c, s := sr.c, sr.s
+	s.stats.Nodes++
 
 	// Early pruning: a fully-closed conjunct can only be discharged by
 	// the lemmas and the current hypotheses; if it is already
@@ -463,7 +430,7 @@ func (sr *search) solve(sol []equation, syms []symRef) ([]equation, bool) {
 	fp := c.Fingerprint128()
 	refuted, _ := s.cache.lookup(memoKey{kind: memoNode, ctx: s.ctx, fp: fp})
 	if refuted {
-		sr.nodeHits++
+		s.stats.NodeHits++
 		sr.trail.UndoTo(entry)
 		return nil, false
 	}
@@ -674,9 +641,9 @@ func (sr *search) consumeClosedConjuncts() bool {
 	key := memoKey{kind: memoClosed, ctx: s.ctx, fp: fp}
 	verdict, cached := s.cache.lookup(key)
 	if cached {
-		sr.closedHits++
+		s.stats.ClosedHits++
 	} else {
-		sr.closedMisses++
+		s.stats.ClosedMisses++
 		verdict = sr.proveClosedConjuncts(closedPredIdx, closedSubIdx)
 		s.cache.store(key, verdict)
 	}

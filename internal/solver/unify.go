@@ -8,7 +8,6 @@ import (
 	"autopart/internal/dpl"
 	"autopart/internal/infer"
 	"autopart/internal/lang"
-	"autopart/internal/par"
 )
 
 // solvableBudget caps each Algorithm 3 candidate check: checks only need
@@ -21,22 +20,16 @@ const solvableBudget = 20000
 // (and later systems) re-produce merged systems checked before. The
 // verdict is a deterministic function of the conjunct set and the
 // solver's fixed external assumptions, so the cache is sound. Each miss
-// runs an isolated search (own budget, own working clone), making
-// concurrent calls safe.
+// runs its own search, with its own budget over its own working clone.
 func (s *Solver) solvable(sys *constraint.System) bool {
 	key := memoKey{kind: memoSolvable, ctx: s.ctx, fp: sys.Fingerprint128()}
 	if v, hit := s.cache.lookup(key); hit {
-		s.mu.Lock()
 		s.stats.MemoHits++
-		s.mu.Unlock()
 		return v
 	}
-	s.mu.Lock()
 	s.stats.MemoMisses++
-	s.mu.Unlock()
 	sr := s.newSearch(sys, solvableBudget)
 	_, ok := sr.solve(nil, s.unresolved(sr.c))
-	sr.finish()
 	s.cache.store(key, ok)
 	return ok
 }
@@ -57,11 +50,7 @@ func sysSize(sys *constraint.System) int {
 // partitions), checking solvability after each unification, then solve
 // the combined system.
 func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System, map[string]string, error) {
-	defer func(t0 time.Time) {
-		s.mu.Lock()
-		s.stats.UnifyNS += time.Since(t0).Nanoseconds()
-		s.mu.Unlock()
-	}(time.Now())
+	defer func(t0 time.Time) { s.stats.UnifyNS += time.Since(t0).Nanoseconds() }(time.Now())
 	canon := map[string]string{}
 
 	ordered := append([]*constraint.System(nil), systems...)
@@ -118,15 +107,6 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 	// identity remains a sound round-to-round cache key.
 	var cachedAccGraph, extGraph *constraint.Graph
 	var cachedAccFor *constraint.System
-	noteGraph := func(extended bool) {
-		s.mu.Lock()
-		if extended {
-			s.stats.GraphExtends++
-		} else {
-			s.stats.GraphBuilds++
-		}
-		s.mu.Unlock()
-	}
 	accGraphOf := func(sys *constraint.System) *constraint.Graph {
 		if cachedAccFor != sys {
 			// Sync the base graph to extCombined's current content
@@ -134,16 +114,16 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 			switch {
 			case extGraph == nil:
 				extGraph = constraint.BuildGraph(extCombined)
-				noteGraph(false)
+				s.stats.GraphBuilds++
 			case !extGraph.Covers(extCombined):
 				extGraph = extGraph.Extended(extCombined)
-				noteGraph(true)
+				s.stats.GraphExtends++
 			}
 			if sys == extCombined {
 				cachedAccGraph = extGraph
 			} else {
 				cachedAccGraph = extGraph.Extended(sys)
-				noteGraph(true)
+				s.stats.GraphExtends++
 			}
 			cachedAccFor = sys
 			if checkGraphCache {
@@ -225,15 +205,6 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 		}
 		return memoKey{kind: memoUnify, ctx: s.ctx, fp: fp}
 	}
-	noteUnifyMemo := func(hit bool) {
-		s.mu.Lock()
-		if hit {
-			s.stats.UnifyRoundHits++
-		} else {
-			s.stats.UnifyRoundMisses++
-		}
-		s.mu.Unlock()
-	}
 
 	for _, cur := range ordered {
 		remaining := cur.Clone()
@@ -249,7 +220,7 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 			}
 			rk := roundKey(accGraphSys, remaining)
 			if w, hit := s.cache.lookupUnify(rk); hit {
-				noteUnifyMemo(true)
+				s.stats.UnifyRoundHits++
 				if w.renames == nil {
 					break
 				}
@@ -262,17 +233,13 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 				accGraphSys = mergeWithBase(extCombined, remaining, basePred, baseSub)
 				continue
 			}
-			noteUnifyMemo(false)
+			s.stats.UnifyRoundMisses++
 			accGraph := accGraphOf(accGraphSys)
 			curGraph := constraint.BuildGraph(remaining)
 
 			// Greedily consider only the first few largest candidates (as
 			// the paper notes, the largest subgraphs usually contain the
-			// smaller ones, and each check runs a full solve). Candidate
-			// filtering runs sequentially in mapping order; the expensive
-			// solvability checks then run in parallel, and the winner is
-			// the first candidate in mapping order that passes — exactly
-			// the candidate the sequential greedy loop would commit.
+			// smaller ones, and each check runs a full solve).
 			const maxTries = 6
 			// The round's §3.2 counts are built on its first mapping
 			// that renames a symbol; a round may yield none.
@@ -319,72 +286,33 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 				// present, the merge changes nothing, and no solvability
 				// check is needed — the common case for programs whose
 				// loops share structure (MiniAero's RK stages, PENNANT's
-				// phases). The greedy loop always commits there, so no
-				// later mapping can be reached.
+				// phases). The greedy loop commits it at once.
 				return &unifyCand{renames: renames, candidate: candidate, auto: deltaTotal == 0}
 			}
+			// The greedy loop: the first candidate whose merged system
+			// stays solvable wins, and the early exit skips building
+			// (and materializing) every later candidate.
 			var winner *unifyCand
-			if par.Sequential() || par.Workers() == 1 {
-				// One worker: the original interleaved greedy loop, whose
-				// early exit on the first passing check skips building
-				// (and materializing) every later candidate.
-				tries := 0
-				constraint.EachCommonSubgraph(accGraph, curGraph, func(m constraint.Mapping) bool {
-					if tries >= maxTries {
-						return false
-					}
-					cand := filterCand(m)
-					if cand == nil {
-						return true
-					}
-					if cand.auto {
-						winner = cand
-						return false
-					}
-					tries++
-					if s.solvable(mergeWithBase(combined, cand.candidate, combinedPred, combinedSub)) {
-						winner = cand
-						return false
-					}
-					return true
-				})
-			} else {
-				// Multiple workers: build the candidate list up front
-				// (cheap filters, sequential, in mapping order), check
-				// solvability concurrently, and pick the first passing
-				// candidate in mapping order — exactly the candidate the
-				// interleaved loop above would commit.
-				var checks []*unifyCand
-				var auto *unifyCand
-				constraint.EachCommonSubgraph(accGraph, curGraph, func(m constraint.Mapping) bool {
-					if len(checks) >= maxTries {
-						return false
-					}
-					cand := filterCand(m)
-					if cand == nil {
-						return true
-					}
-					if cand.auto {
-						auto = cand
-						return false
-					}
-					checks = append(checks, cand)
-					return true
-				})
-				oks := make([]bool, len(checks))
-				par.Do(len(checks), func(i int) {
-					oks[i] = s.solvable(mergeWithBase(combined, checks[i].candidate, combinedPred, combinedSub))
-				})
-				for i := range checks {
-					if oks[i] {
-						winner = checks[i]
-						break
-					}
+			tries := 0
+			constraint.EachCommonSubgraph(accGraph, curGraph, func(m constraint.Mapping) bool {
+				if tries >= maxTries {
+					return false
 				}
-				if winner == nil {
-					winner = auto
+				cand := filterCand(m)
+				if cand == nil {
+					return true
 				}
-			}
+				if cand.auto {
+					winner = cand
+					return false
+				}
+				tries++
+				if s.solvable(mergeWithBase(combined, cand.candidate, combinedPred, combinedSub)) {
+					winner = cand
+					return false
+				}
+				return true
+			})
 			if winner == nil {
 				// A nil rename set memoizes "no winner": the identical
 				// round in a later compile stops unifying immediately.

@@ -110,7 +110,7 @@ func compile(src string, opts Options) (*Compiled, *pipeline.Session, error) {
 
 // runSession executes the pass pipeline over a prepared session and
 // assembles the Compiled result. Both the one-shot Compile façade and
-// the pooled Service funnel through here, so results are identical
+// the Service funnel through here, so results are identical
 // regardless of which entry point produced them.
 func runSession(s *pipeline.Session, opts Options) (*Compiled, *pipeline.Session, error) {
 	timing := pipeline.NewTimingObserver()

@@ -36,19 +36,18 @@ type ServiceOptions struct {
 }
 
 // Service is a concurrency-safe compile-as-a-service front end: it
-// pools pipeline Sessions across requests, shares one solver memo cache
-// across every compile it runs (so recompiles of similar programs reuse
-// solvability, closed-conjunct, and refuted-subtree verdicts), bounds
+// shares one solver memo cache across every compile it runs (so
+// recompiles of similar programs reuse solvability, closed-conjunct,
+// and refuted-subtree verdicts), bounds
 // in-flight compiles, and keeps the shared intern table inside a memory
 // budget via epoch-based reclamation. Results are byte-identical to
 // one-shot Compile — the cache stores verdicts a fresh solver would
 // recompute, never approximations.
 type Service struct {
-	base     Options
-	cache    *solver.MemoCache
-	table    *dpl.Table
-	sem      chan struct{}
-	sessions sync.Pool
+	base  Options
+	cache *solver.MemoCache
+	table *dpl.Table
+	sem   chan struct{}
 
 	compiles atomic.Uint64
 	failures atomic.Uint64
@@ -89,7 +88,6 @@ func NewService(opts ServiceOptions) *Service {
 		table: dpl.Default(),
 		sem:   make(chan struct{}, conc),
 	}
-	sv.sessions.New = func() any { return &pipeline.Session{} }
 	if opts.InternMaxEntries > 0 {
 		sv.table.SetMaxEntries(opts.InternMaxEntries)
 	}
@@ -121,19 +119,12 @@ func (sv *Service) CompileWith(src string, opts Options) (*Compiled, error) {
 	ep := sv.table.Enter()
 	defer ep.Leave()
 
-	s := sv.sessions.Get().(*pipeline.Session)
-	s.Reset(src, pipeline.Config{
+	s := pipeline.NewSession(src, pipeline.Config{
 		DisableRelaxation:           opts.DisableRelaxation,
 		DisablePrivateSubPartitions: opts.DisablePrivateSubPartitions,
 		SolverCache:                 sv.cache,
 	})
-	c, panicked, err := runSessionGuarded(s, opts)
-	if !panicked {
-		// A panicked session's artifacts are in an unknown state; it must
-		// never re-enter the pool, or a later request would compile on
-		// top of them. Dropping it lets the pool mint a fresh one.
-		sv.sessions.Put(s)
-	}
+	c, _, err := runSessionGuarded(s, opts)
 	if err != nil {
 		sv.failures.Add(1)
 		return nil, err
@@ -231,7 +222,7 @@ func (sv *Service) keyedSession(key string) *keyedSession {
 
 // runSessionGuarded runs the pipeline, converting a pass panic into an
 // error. The boolean tells the caller the session is poisoned and must
-// be discarded rather than pooled or retained.
+// be discarded rather than retained.
 func runSessionGuarded(s *pipeline.Session, opts Options) (c *Compiled, panicked bool, err error) {
 	done := false
 	defer func() {

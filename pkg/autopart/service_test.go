@@ -47,8 +47,8 @@ func sequentialBaselines(t *testing.T) map[string]string {
 
 // TestServiceConcurrentByteIdentical is the service's core contract: N
 // goroutines compiling the five builtin benchmarks concurrently through
-// one shared Service (shared memo cache, pooled sessions, epoch-pinned
-// intern table) produce results byte-identical to one-shot sequential
+// one shared Service (shared memo cache, bounded concurrency,
+// epoch-pinned intern table) produce results byte-identical to one-shot sequential
 // compiles, and warm recompiles answer >90% of solver verdict lookups
 // from the shared cache.
 func TestServiceConcurrentByteIdentical(t *testing.T) {
