@@ -6,6 +6,7 @@ import (
 
 	"autopart/internal/geometry"
 	"autopart/internal/region"
+	"autopart/internal/rewrite"
 )
 
 // msgKind distinguishes the three transfers of the coherence protocol.
@@ -169,32 +170,23 @@ func installField(node int, r *region.Region, field string, msg *message) error 
 	return nil
 }
 
-// packBuffer copies a sparse reduction buffer's values over set into the
-// dense wire format: one slot per element, present marking real
-// contributions.
-func packBuffer(values map[int64]float64, set geometry.IndexSet) (scalars []float64, present []bool) {
+// packBuffer copies a shard's reduction buffer (nil: no contributions)
+// over set into the dense wire format: one slot per element, present
+// marking real contributions.
+func packBuffer(buf *rewrite.ReduceBuffer, set geometry.IndexSet) (scalars []float64, present []bool) {
 	n := int(set.Len())
-	scalars = make([]float64, 0, n)
-	present = make([]bool, 0, n)
-	set.Each(func(k int64) bool {
-		v, ok := values[k]
-		scalars = append(scalars, v)
-		present = append(present, ok)
+	scalars = make([]float64, n)
+	present = make([]bool, n)
+	if buf == nil {
+		return scalars, present
+	}
+	pos := 0
+	set.EachInterval(func(iv geometry.Interval) bool {
+		for k := iv.Lo; k < iv.Hi; k++ {
+			scalars[pos], present[pos] = buf.Get(k)
+			pos++
+		}
 		return true
 	})
 	return scalars, present
-}
-
-// unpackBuffer rebuilds the sparse contribution map from a mergeMsg.
-func unpackBuffer(msg *message) map[int64]float64 {
-	out := map[int64]float64{}
-	pos := 0
-	msg.set.Each(func(k int64) bool {
-		if msg.present[pos] {
-			out[k] = msg.scalars[pos]
-		}
-		pos++
-		return true
-	})
-	return out
 }

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
+	"autopart/internal/geometry"
 	"autopart/internal/ir"
 	"autopart/internal/region"
 	"autopart/internal/rewrite"
@@ -140,7 +142,7 @@ func (n *node) settleTouching(fields map[rewrite.FieldKey]bool) error {
 //
 // Bit-identity survives the reordering because writes stay canonically
 // ordered where it matters: folds run per field in requirement order
-// via rewrite.MergeShardReductions, settles run in launch order, and
+// through a rewrite.Fold, settles run in launch order, and
 // everything else lands on disjoint element sets.
 func (n *node) runLaunch(sc *launchSched) error {
 	if err := n.settleTouching(launchFields(sc.task.Launch)); err != nil {
@@ -175,14 +177,11 @@ func (n *node) runLaunch(sc *launchSched) error {
 	t1 := time.Now()
 
 	// Contributions neither local nor shipped under any requirement would
-	// silently vanish; the coherence protocol treats that as unsound.
+	// silently vanish; the coherence protocol treats that as unsound and
+	// names the lowest such element.
 	for _, fs := range sc.folds {
-		buf, reach := res.Reductions[fs.fk], sc.reach[fs.fk]
-		if buf == nil {
-			continue
-		}
-		for idx := range buf.Values {
-			if !reach.Contains(idx) {
+		if buf := res.Reductions[fs.fk]; buf != nil {
+			if idx, ok := escaping(buf, sc.reach[fs.fk]); ok {
 				return fmt.Errorf("reduction contribution to %s.%s[%d] has no owner to merge into",
 					fs.fk.Region, fs.fk.Field, idx)
 			}
@@ -196,11 +195,7 @@ func (n *node) runLaunch(sc *launchSched) error {
 				return err
 			}
 		} else {
-			var values map[int64]float64
-			if buf := res.Reductions[tr.tag.fk()]; buf != nil {
-				values = buf.Values
-			}
-			msg.scalars, msg.present = packBuffer(values, tr.set)
+			msg.scalars, msg.present = packBuffer(res.Reductions[tr.tag.fk()], tr.set)
 		}
 		n.send(tr, msg)
 	}
@@ -248,20 +243,40 @@ func (n *node) overlapWindow(t0, t1 time.Time, deps []tagKey) time.Duration {
 	return last.Sub(t0)
 }
 
+// escaping returns the lowest element buf holds a contribution for
+// outside reach, walking the buffer's runs and reach's intervals
+// together.
+func escaping(buf *rewrite.ReduceBuffer, reach geometry.IndexSet) (idx int64, found bool) {
+	ivs, i := reach.Intervals(), 0
+	buf.EachRun(func(lo, hi int64, _ []float64) bool {
+		for lo < hi {
+			for i < len(ivs) && ivs[i].Hi <= lo {
+				i++
+			}
+			if i == len(ivs) || ivs[i].Lo > lo {
+				idx, found = lo, true
+				return false
+			}
+			lo = ivs[i].Hi
+		}
+		return true
+	})
+	return idx, found
+}
+
 // finish applies one deferred launch completion: take every write-back
-// dependency, install guarded ships, collect merge contributions per
-// sender, then fold each reduced field in canonical order. folds
-// accumulate, per reduced field, one contribution map per sender color;
-// duplicate elements arriving from the same sender under different
-// requirements carry identical values (both pack the sender's one shard
-// buffer), so overwriting dedupes them and each (sender, element)
-// contribution folds exactly once.
+// dependency and install guarded ships, then fold each reduced field in
+// canonical order. A field's fold adds, in ascending sender order, each
+// merge message's present slots and, at this node's own place in that
+// order, its own shard buffer restricted to the elements it owns: the
+// fold of rewrite.MergeShardReductions restricted to owner.Sub(j), so
+// the distributed merge reproduces the sequential one piecewise. A
+// sender covering one element under two requirements packed it twice
+// from its one shard buffer; the fold keeps the first copy, so each
+// (sender, element) contribution folds exactly once.
 func (n *node) finish(pf *pendingFinish) error {
 	sc := pf.sched
-	perField := map[rewrite.FieldKey][]map[int64]float64{}
-	for _, fs := range sc.folds {
-		perField[fs.fk] = make([]map[int64]float64, n.cfg.Nodes)
-	}
+	var merges []message
 	for _, tr := range sc.backsIn {
 		msg, err := n.take(tr)
 		if err != nil {
@@ -273,40 +288,47 @@ func (n *node) finish(pf *pendingFinish) error {
 			}
 			continue
 		}
-		perColor := perField[tr.tag.fk()]
-		for idx, v := range unpackBuffer(&msg) {
-			if perColor[tr.tag.from] == nil {
-				perColor[tr.tag.from] = map[int64]float64{}
-			}
-			perColor[tr.tag.from][idx] = v
-		}
+		merges = append(merges, msg)
 	}
-	// Our own shard's contributions on elements we own fold locally;
-	// they join the field's per-color maps once, no matter how many
-	// requirements cover the field. The fold is
-	// rewrite.MergeShardReductions restricted to owner.Sub(j), so the
-	// distributed merge reproduces the sequential one piecewise.
+	sort.SliceStable(merges, func(a, b int) bool { return merges[a].from < merges[b].from })
+	var in []*message
 	for _, fs := range sc.folds {
-		perColor := perField[fs.fk]
-		if buf := pf.res.Reductions[fs.fk]; buf != nil {
-			for idx, v := range buf.Values {
-				if fs.own.Contains(idx) {
-					if perColor[n.id] == nil {
-						perColor[n.id] = map[int64]float64{}
-					}
-					perColor[n.id][idx] = v
-				}
+		in = in[:0]
+		for i := range merges {
+			if merges[i].region == fs.fk.Region && merges[i].field == fs.fk.Field {
+				in = append(in, &merges[i])
 			}
 		}
-		merged := make([]map[rewrite.FieldKey]*rewrite.ReduceBuffer, len(perColor))
-		for k, vals := range perColor {
-			if len(vals) > 0 {
-				merged[k] = map[rewrite.FieldKey]*rewrite.ReduceBuffer{
-					fs.fk: {Op: fs.op, Values: vals},
-				}
-			}
+		own := pf.res.Reductions[fs.fk]
+		if own == nil && len(in) == 0 {
+			continue
 		}
-		rewrite.MergeShardReductions(n.m, merged)
+		fold := rewrite.NewFold(fs.op, fs.own)
+		for _, msg := range in {
+			if own != nil && msg.from > n.id {
+				fold.AddBuffer(n.id, own)
+				own = nil
+			}
+			foldMessage(fold, msg)
+		}
+		if own != nil {
+			fold.AddBuffer(n.id, own)
+		}
+		fold.Apply(n.m.Regions[fs.fk.Region], fs.fk.Field)
 	}
 	return nil
+}
+
+// foldMessage adds a merge message's present slots to fold.
+func foldMessage(fold *rewrite.Fold, msg *message) {
+	pos := 0
+	msg.set.EachInterval(func(iv geometry.Interval) bool {
+		for k := iv.Lo; k < iv.Hi; k++ {
+			if msg.present[pos] {
+				fold.Add(msg.from, k, msg.scalars[pos])
+			}
+			pos++
+		}
+		return true
+	})
 }

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"autopart/internal/geometry"
@@ -13,23 +14,143 @@ import (
 // FieldKey identifies a region field.
 type FieldKey struct{ Region, Field string }
 
+// layout places the elements of an index set at dense positions in
+// ascending order: interval i of the set starts at position off[i].
+// Lookups try the interval last hit, [lo, hi) at position lo-shift,
+// before a binary search.
+type layout struct {
+	set           geometry.IndexSet
+	ivs           []geometry.Interval
+	off           []int64 // one entry per interval, then the set's size
+	lo, hi, shift int64
+}
+
+func newLayout(set geometry.IndexSet) *layout {
+	ivs := set.Intervals()
+	off := make([]int64, len(ivs)+1)
+	for i, iv := range ivs {
+		off[i+1] = off[i] + iv.Len()
+	}
+	return &layout{set: set, ivs: ivs, off: off}
+}
+
+// pos returns idx's position, or -1 if idx is not in the set.
+func (l *layout) pos(idx int64) int64 {
+	if idx >= l.lo && idx < l.hi {
+		return idx - l.shift
+	}
+	return l.seek(idx)
+}
+
+func (l *layout) seek(idx int64) int64 {
+	i, ok := search(l.ivs, idx)
+	if !ok {
+		return -1
+	}
+	l.lo, l.hi, l.shift = l.ivs[i].Lo, l.ivs[i].Hi, l.ivs[i].Lo-l.off[i]
+	return idx - l.shift
+}
+
+// search returns the interval of ivs, sorted and disjoint, holding idx.
+func search(ivs []geometry.Interval, idx int64) (int, bool) {
+	lo, hi := 0, len(ivs)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); ivs[mid].Hi > idx {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, lo < len(ivs) && ivs[lo].Lo <= idx
+}
+
+// Run is one field's values over an index set, held densely in the
+// set's ascending order, with a bitmap of the elements that hold one. A
+// shard's private writes to a field and its reduction buffer for a
+// field are each a run over the union of this color's subregions of the
+// field's store accesses: every element a store's containment check
+// admits lies there, so an element outside the run was never written.
+type Run[V float64 | int64] struct {
+	at   *layout
+	vals []V
+	bits []uint64
+}
+
+func newRun[V float64 | int64](at *layout) *Run[V] {
+	n := at.off[len(at.ivs)]
+	return &Run[V]{at: at, vals: make([]V, n), bits: make([]uint64, (n+63)/64)}
+}
+
+// Get returns the value held at idx, and false if there is none.
+func (r *Run[V]) Get(idx int64) (V, bool) {
+	if p := r.at.pos(idx); p >= 0 && r.bits[p>>6]&(1<<(p&63)) != 0 {
+		return r.vals[p], true
+	}
+	var zero V
+	return zero, false
+}
+
+// put stores v at idx, which must lie in the run's domain.
+func (r *Run[V]) put(idx int64, v V) {
+	p := r.at.pos(idx)
+	r.vals[p] = v
+	r.bits[p>>6] |= 1 << (p & 63)
+}
+
+// domain returns the elements the run can hold a value for.
+func (r *Run[V]) domain() geometry.IndexSet { return r.at.set }
+
+// EachRun calls fn on every maximal interval [lo, hi) of elements that
+// hold a value, ascending, with their values; it stops when fn returns
+// false.
+func (r *Run[V]) EachRun(fn func(lo, hi int64, vals []V) bool) {
+	for i, iv := range r.at.ivs {
+		start, end := r.at.off[i], r.at.off[i+1]
+		for p := r.next(start, end, true); p < end; {
+			q := r.next(p, end, false)
+			if !fn(iv.Lo+p-start, iv.Lo+q-start, r.vals[p:q]) {
+				return
+			}
+			p = r.next(q, end, true)
+		}
+	}
+}
+
+// next returns the first position in [p, end) whose bit equals want, or
+// end if there is none.
+func (r *Run[V]) next(p, end int64, want bool) int64 {
+	for p < end {
+		w := r.bits[p>>6]
+		if !want {
+			w = ^w
+		}
+		if w >>= uint64(p & 63); w != 0 {
+			return min(p+int64(bits.TrailingZeros64(w)), end)
+		}
+		p = p | 63 + 1
+	}
+	return end
+}
+
 // ReduceBuffer accumulates one task's uncentered reduction contributions
-// for one field, folded from the op's identity in iteration order.
+// for one field: an element not yet present starts at the op's identity,
+// and contributions fold into it in iteration order.
 type ReduceBuffer struct {
-	Op     string
-	Values map[int64]float64
+	Op string
+	Run[float64]
 }
 
 // ShardResult is the outcome of running one color's shard of a parallel
 // loop against a stable snapshot: the task's private writes (plain
 // stores, centered reductions, and §5.1 guarded in-place reductions) and
-// its uncentered reduction contributions. Nothing is applied to any
-// machine — the caller decides how: RunLaunch flushes shards in
-// ascending color order and merges buffers after the launch; the
-// distributed executor ships remote-owned pieces to their owners.
+// its uncentered reduction contributions, each a dense run per field.
+// Nothing is applied to any machine — the caller decides how: RunLaunch
+// flushes shards in ascending color order and merges buffers after the
+// launch; the distributed executor ships remote-owned pieces to their
+// owners.
 type ShardResult struct {
-	Scalars    map[FieldKey]map[int64]float64
-	Indexes    map[FieldKey]map[int64]int64
+	Scalars    map[FieldKey]*Run[float64]
+	Indexes    map[FieldKey]*Run[int64]
 	Reductions map[FieldKey]*ReduceBuffer
 }
 
@@ -72,45 +193,44 @@ func RunLaunch(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLo
 // regions. Reduction buffers are not touched — merge those with
 // MergeShardReductions once every contributing shard has flushed.
 func FlushShard(m *ir.Machine, res *ShardResult) {
-	for k, vals := range res.Scalars {
+	for k, w := range res.Scalars {
 		r := m.Regions[k.Region]
-		data, base := r.Scalar(k.Field), r.Window().Lo
-		for idx, v := range vals {
-			data[idx-base] = v
-		}
+		flushRun(w, r.Scalar(k.Field), r.Window().Lo)
 	}
-	for k, vals := range res.Indexes {
+	for k, w := range res.Indexes {
 		r := m.Regions[k.Region]
-		data, base := r.Index(k.Field), r.Window().Lo
-		for idx, v := range vals {
-			data[idx-base] = v
-		}
+		flushRun(w, r.Index(k.Field), r.Window().Lo)
 	}
 }
 
+func flushRun[V float64 | int64](w *Run[V], data []V, base int64) {
+	w.EachRun(func(lo, hi int64, vals []V) bool {
+		copy(data[lo-base:hi-base], vals)
+		return true
+	})
+}
+
 // MergeShardReductions folds per-color reduction buffers into the live
-// regions. The order is fixed: fields sorted by (region, field),
-// elements ascending, and each element's per-color contributions in
-// ascending color order seeded by the first contributing color. A
-// distributed executor reproduces exactly this fold piecewise at each
-// element's owner, which is why merged results are deterministic and
-// node-count independent.
+// regions. The order is fixed: fields sorted by (region, field), and
+// each element's per-color contributions folded in ascending color
+// order seeded by the first contributing color, that total then folded
+// into the element (see Fold). A distributed executor reproduces
+// exactly this fold piecewise at each element's owner, which is why
+// merged results are deterministic and node-count independent.
 func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) {
-	type elem struct {
-		op   string
-		idxs map[int64]bool
+	type field struct {
+		op      string
+		domains []geometry.IndexSet
 	}
-	fields := map[FieldKey]*elem{}
+	fields := map[FieldKey]*field{}
 	for _, bufs := range perColor {
 		for k, buf := range bufs {
-			e := fields[k]
-			if e == nil {
-				e = &elem{op: buf.Op, idxs: map[int64]bool{}}
-				fields[k] = e
+			f := fields[k]
+			if f == nil {
+				f = &field{op: buf.Op}
+				fields[k] = f
 			}
-			for idx := range buf.Values {
-				e.idxs[idx] = true
-			}
+			f.domains = append(f.domains, buf.domain())
 		}
 	}
 	keys := make([]FieldKey, 0, len(fields))
@@ -124,34 +244,73 @@ func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) 
 		return keys[i].Field < keys[j].Field
 	})
 	for _, k := range keys {
-		e := fields[k]
-		r := m.Regions[k.Region]
-		data, base := r.Scalar(k.Field), r.Window().Lo
-		idxs := make([]int64, 0, len(e.idxs))
-		for idx := range e.idxs {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			var v float64
-			first := true
-			for _, bufs := range perColor {
-				buf := bufs[k]
-				if buf == nil {
-					continue
-				}
-				c, ok := buf.Values[idx]
-				if !ok {
-					continue
-				}
-				if first {
-					v = c
-					first = false
-				} else {
-					v = ir.ApplyReduce(e.op, v, c)
-				}
+		fold := NewFold(fields[k].op, geometry.UnionAll(fields[k].domains))
+		for color, bufs := range perColor {
+			if buf := bufs[k]; buf != nil {
+				fold.AddBuffer(color, buf)
 			}
-			data[idx-base] = ir.ApplyReduce(e.op, data[idx-base], v)
+		}
+		fold.Apply(m.Regions[k.Region], k.Field)
+	}
+}
+
+// Fold is one field's ordered reduction merge over an index set.
+// Contributions are added color by color in ascending order: an
+// element's first contributing color seeds its total and later colors
+// fold into it; Apply then folds each total into the region, once per
+// element. That is the order bit identity depends on.
+type Fold struct {
+	op   string
+	at   *layout
+	acc  []float64
+	from []int32 // per element: 1 + the last color added, 0 for none
+}
+
+// NewFold returns an empty fold under op over set.
+func NewFold(op string, set geometry.IndexSet) *Fold {
+	at := newLayout(set)
+	n := at.off[len(at.ivs)]
+	return &Fold{op: op, at: at, acc: make([]float64, n), from: make([]int32, n)}
+}
+
+// Add folds color's contribution v to element idx, and ignores an
+// element outside the fold's set. Colors must come in ascending order.
+// A second contribution of one color to one element is dropped: it is
+// the same value, packed twice from the color's one shard buffer.
+func (f *Fold) Add(color int, idx int64, v float64) {
+	p := f.at.pos(idx)
+	if p < 0 {
+		return
+	}
+	switch c := int32(color) + 1; f.from[p] {
+	case c:
+	case 0:
+		f.acc[p], f.from[p] = v, c
+	default:
+		f.acc[p], f.from[p] = ir.ApplyReduce(f.op, f.acc[p], v), c
+	}
+}
+
+// AddBuffer adds every contribution of color's buffer that lies in the
+// fold's set.
+func (f *Fold) AddBuffer(color int, buf *ReduceBuffer) {
+	buf.EachRun(func(lo, _ int64, vals []float64) bool {
+		for i, v := range vals {
+			f.Add(color, lo+int64(i), v)
+		}
+		return true
+	})
+}
+
+// Apply folds each element's total into r's field, ascending.
+func (f *Fold) Apply(r *region.Region, field string) {
+	data, base := r.Scalar(field), r.Window().Lo
+	for i, iv := range f.at.ivs {
+		for p := f.at.off[i]; p < f.at.off[i+1]; p++ {
+			if f.from[p] != 0 {
+				k := iv.Lo + p - f.at.off[i] - base
+				data[k] = ir.ApplyReduce(f.op, data[k], f.acc[p])
+			}
 		}
 	}
 }
@@ -171,8 +330,8 @@ func RunShard(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoo
 	}
 	s := &shard{m: m, parts: parts, pl: pl, color: color, slots: map[string]int{}, fields: map[FieldKey]*field{},
 		res: &ShardResult{
-			Scalars:    map[FieldKey]map[int64]float64{},
-			Indexes:    map[FieldKey]map[int64]int64{},
+			Scalars:    map[FieldKey]*Run[float64]{},
+			Indexes:    map[FieldKey]*Run[int64]{},
 			Reductions: map[FieldKey]*ReduceBuffer{},
 		}}
 	loopVar := s.slot(pl.Loop.Var)
@@ -243,10 +402,12 @@ func (s *shard) index(slot int) (int64, error) {
 
 // field is one region field the body names, shared by every statement
 // naming it: its backing slice and the task's private writes and
-// reduction buffer, created on first use and entered in the result.
-// Element idx lives at position idx-base of the backing slice, base
-// being the region's window origin; every access has passed the
-// containment check against a subregion the window covers.
+// reduction buffer, dense runs over the union of stores (this color's
+// subregions of the field's store accesses), created on first use and
+// entered in the result. Element idx lives at position idx-base of the
+// backing slice, base being the region's window origin; every access
+// has passed the containment check against a subregion the window
+// covers.
 type field struct {
 	key     FieldKey
 	kind    region.FieldKind
@@ -254,8 +415,10 @@ type field struct {
 	scalars []float64
 	indexes []int64
 	ranges  []geometry.Interval
-	wScalar map[int64]float64
-	wIndex  map[int64]int64
+	stores  []geometry.IndexSet
+	at      *layout // over the union of stores, made on first write
+	wScalar *Run[float64]
+	wIndex  *Run[int64]
 	buf     *ReduceBuffer
 }
 
@@ -288,26 +451,59 @@ func (s *shard) field(st ir.Stmt, regionName, name string) (*field, error) {
 // Reads hit the task's own writes first, then the machine's data.
 func (f *field) scalar(idx int64) float64 {
 	if f.wScalar != nil {
-		if v, ok := f.wScalar[idx]; ok {
+		if v, ok := f.wScalar.Get(idx); ok {
 			return v
 		}
 	}
 	return f.scalars[idx-f.base]
 }
 
+func (f *field) index(idx int64) int64 {
+	if f.wIndex != nil {
+		if v, ok := f.wIndex.Get(idx); ok {
+			return v
+		}
+	}
+	return f.indexes[idx-f.base]
+}
+
+// layout returns the layout of f's runs.
+func (f *field) layout() *layout {
+	if f.at == nil {
+		f.at = newLayout(geometry.UnionAll(f.stores))
+	}
+	return f.at
+}
+
 func (s *shard) writeScalar(f *field, idx int64, v float64) {
 	if f.wScalar == nil {
-		f.wScalar = map[int64]float64{}
+		f.wScalar = newRun[float64](f.layout())
 		s.res.Scalars[f.key] = f.wScalar
 	}
-	f.wScalar[idx] = v
+	f.wScalar.put(idx, v)
 }
 
 // access is a statement's execution plan with this color's subregion of
-// its partition.
+// its partition, and the interval of it the access last hit.
 type access struct {
 	*AccessInfo
-	sub geometry.IndexSet
+	sub  geometry.IndexSet
+	last geometry.Interval
+}
+
+// contains reports whether idx lies in the access's subregion, trying
+// the interval it last hit before a binary search over the rest.
+func (a *access) contains(idx int64) bool {
+	return idx >= a.last.Lo && idx < a.last.Hi || a.seek(idx)
+}
+
+func (a *access) seek(idx int64) bool {
+	ivs := a.sub.Intervals()
+	i, ok := search(ivs, idx)
+	if ok {
+		a.last = ivs[i]
+	}
+	return ok
 }
 
 func (s *shard) access(st ir.Stmt) (access, error) {
@@ -319,13 +515,13 @@ func (s *shard) access(st ir.Stmt) (access, error) {
 	if !ok {
 		return access{}, fmt.Errorf("%s: unbound partition %q", st, info.Sym)
 	}
-	return access{info, p.Sub(s.color)}, nil
+	return access{AccessInfo: info, sub: p.Sub(s.color)}, nil
 }
 
 // check is the containment check of an access index against the task's
 // subregion.
 func (s *shard) check(a *access, idx int64) error {
-	if a.sub.Contains(idx) {
+	if a.contains(idx) {
 		return nil
 	}
 	return fmt.Errorf("access %s[%d].%s escapes subregion %s[%d] — unsound partitioning",
@@ -383,6 +579,7 @@ func (s *shard) resolveStep(n *step, src ir.Stmt) (err error) {
 		if n.f.kind == region.RangeField || (n.acc.Guarded || n.acc.Buffered) && n.f.kind != region.ScalarField {
 			return fmt.Errorf("%s: cannot store to %s field %s", st, n.f.kind, st.Field)
 		}
+		n.f.stores = append(n.f.stores, n.acc.sub)
 		switch st.Op {
 		case lang.OpSet:
 			if n.acc.Buffered {
@@ -456,11 +653,7 @@ func (s *shard) step(n *step) error {
 			s.set(n.dst, ir.ScalarValue(n.f.scalar(k)))
 			return nil
 		}
-		v, ok := n.f.wIndex[k]
-		if !ok {
-			v = n.f.indexes[k-n.f.base]
-		}
-		if v < 0 {
+		if v := n.f.index(k); v < 0 {
 			s.set(n.dst, ir.InvalidIndex())
 		} else {
 			s.set(n.dst, ir.IndexValue(v))
@@ -480,7 +673,7 @@ func (s *shard) step(n *step) error {
 			// §5.1: apply only when this task owns the target; the
 			// disjoint complete target partition guarantees exactly-once
 			// across the launch.
-			if n.acc.sub.Contains(k) {
+			if n.acc.contains(k) {
 				s.writeScalar(f, k, ir.ApplyReduce(n.op, f.scalar(k), rhs))
 			}
 			return nil
@@ -490,24 +683,24 @@ func (s *shard) step(n *step) error {
 		}
 		if n.acc.Buffered {
 			if f.buf == nil {
-				f.buf = &ReduceBuffer{Op: n.op, Values: map[int64]float64{}}
+				f.buf = &ReduceBuffer{Op: n.op, Run: *newRun[float64](f.layout())}
 				s.res.Reductions[f.key] = f.buf
 			}
-			old, seen := f.buf.Values[k]
+			old, seen := f.buf.Get(k)
 			if !seen {
 				old = n.ident
 			}
-			f.buf.Values[k] = ir.ApplyReduce(n.op, old, rhs)
+			f.buf.put(k, ir.ApplyReduce(n.op, old, rhs))
 			return nil
 		}
 		// Plain store or centered reduction: task-private read-modify-
 		// write. Pointer fields take the raw value.
 		if f.kind == region.IndexField {
 			if f.wIndex == nil {
-				f.wIndex = map[int64]int64{}
+				f.wIndex = newRun[int64](f.layout())
 				s.res.Indexes[f.key] = f.wIndex
 			}
-			f.wIndex[k] = int64(rhs)
+			f.wIndex.put(k, int64(rhs))
 			return nil
 		}
 		s.writeScalar(f, k, ir.ApplyReduce(n.op, f.scalar(k), rhs))
