@@ -316,13 +316,11 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"in_flight":      st.InFlight,
 		"max_concurrent": st.MaxConcurrent,
 		"memo": map[string]any{
-			"hits":        st.Memo.Hits,
-			"misses":      st.Memo.Misses,
-			"hit_rate":    st.Memo.HitRate(),
-			"node_hits":   st.Memo.NodeHits,
-			"node_misses": st.Memo.NodeMisses,
-			"evictions":   st.Memo.Evictions,
-			"entries":     st.Memo.Entries,
+			"hits":      st.Memo.Hits,
+			"misses":    st.Memo.Misses,
+			"hit_rate":  st.Memo.HitRate(),
+			"evictions": st.Memo.Evictions,
+			"entries":   st.Memo.Entries,
 		},
 		"intern": map[string]any{
 			"entries":    st.InternEntries,

@@ -85,9 +85,10 @@ func (c Subset) Key() string { return dpl.Key(c.L) + "\x00⊆\x00" + dpl.Key(c.R
 // System is a conjunction of predicates and subset constraints.
 //
 // The exported slices may be filled directly when building a system, but
-// once an accessor (PartOf, HasPred, SubsetsInto) has been called the
-// system must only be mutated through methods: accessors are backed by a
-// lazily built index that methods invalidate and direct writes would not.
+// once an accessor (PartOf, HasPredID, SubsetsIntoIdxID) has been called
+// the system must only be mutated through methods: accessors are backed
+// by a lazily built index that methods invalidate and direct writes
+// would not.
 type System struct {
 	Preds   []Pred
 	Subsets []Subset
@@ -113,18 +114,15 @@ type System struct {
 	// masks (dpl.FvMask): predMask[i] covers Preds[i].E, subMask[i][0]
 	// and [1] cover Subsets[i].L and .R. They let the solver's hottest
 	// scans (substitution and closed-conjunct detection) skip conjuncts
-	// without hashing whole expression trees. predFvs/subFvs carry the
-	// corresponding interned free-variable lists and predFvIDs/subFvIDs
-	// the aligned dense symbol ids (all shared, read-only), so
-	// closed-conjunct and depth scans never re-hash expressions into the
-	// intern table — and the solver's id-keyed paths never hash strings
-	// at all. maskOK marks all of them valid; the trail mutators
-	// maintain them per touched conjunct, wholesale mutations clear
-	// maskOK.
+	// without hashing whole expression trees. predFvIDs/subFvIDs carry
+	// the corresponding interned free-variable symbol ids (shared,
+	// read-only), so closed-conjunct and depth scans never re-hash
+	// expressions into the intern table, and the solver's id-keyed paths
+	// never hash strings at all. maskOK marks all of them valid; the
+	// trail mutators maintain them per touched conjunct, wholesale
+	// mutations clear maskOK.
 	predMask  []uint64
 	subMask   [][2]uint64
-	predFvs   [][]string
-	subFvs    [][2][]string
 	predFvIDs [][]int32
 	subFvIDs  [][2][]int32
 	maskOK    bool
@@ -216,22 +214,24 @@ func (s *System) ensureMasks() {
 		return
 	}
 	s.predMask = make([]uint64, len(s.Preds))
-	s.predFvs = make([][]string, len(s.Preds))
 	s.predFvIDs = make([][]int32, len(s.Preds))
 	for i, p := range s.Preds {
-		s.predMask[i], s.predFvs[i], s.predFvIDs[i] = dpl.FvInfo(p.E)
+		s.predMask[i], _, s.predFvIDs[i] = dpl.FvInfo(p.E)
 	}
 	s.subMask = make([][2]uint64, len(s.Subsets))
-	s.subFvs = make([][2][]string, len(s.Subsets))
 	s.subFvIDs = make([][2][]int32, len(s.Subsets))
 	for i, c := range s.Subsets {
-		lm, lf, li := dpl.FvInfo(c.L)
-		rm, rf, ri := dpl.FvInfo(c.R)
-		s.subMask[i] = [2]uint64{lm, rm}
-		s.subFvs[i] = [2][]string{lf, rf}
-		s.subFvIDs[i] = [2][]int32{li, ri}
+		s.subMask[i], s.subFvIDs[i] = subsetFv(c)
 	}
 	s.maskOK = true
+}
+
+// subsetFv returns a subset constraint's free-variable masks and
+// interned symbol ids ([0]=L, [1]=R).
+func subsetFv(c Subset) ([2]uint64, [2][]int32) {
+	lm, _, li := dpl.FvInfo(c.L)
+	rm, _, ri := dpl.FvInfo(c.R)
+	return [2]uint64{lm, rm}, [2][]int32{li, ri}
 }
 
 // PredMasks returns the per-predicate free-variable Bloom masks, aligned
@@ -250,33 +250,17 @@ func (s *System) SubsetMasks() [][2]uint64 {
 	return s.subMask
 }
 
-// PredFvs returns the per-predicate interned free-variable lists,
-// aligned with Preds, under the same sharing contract as PredMasks.
-// The inner slices are interned and must never be mutated.
-func (s *System) PredFvs() [][]string {
-	s.ensureMasks()
-	return s.predFvs
-}
-
-// SubsetFvs returns the per-subset interned free-variable lists
-// ([0]=L, [1]=R), aligned with Subsets, under the same sharing contract
-// as PredMasks. The inner slices are interned and must never be mutated.
-func (s *System) SubsetFvs() [][2][]string {
-	s.ensureMasks()
-	return s.subFvs
-}
-
 // PredFvIDs returns the per-predicate interned free-variable symbol-id
-// lists (dpl.SymID), aligned with Preds and with PredFvs entry by
-// entry, under the same sharing contract as PredMasks.
+// lists (dpl.SymID), aligned with Preds, under the same sharing contract
+// as PredMasks. The inner slices are interned and must never be mutated.
 func (s *System) PredFvIDs() [][]int32 {
 	s.ensureMasks()
 	return s.predFvIDs
 }
 
 // SubsetFvIDs returns the per-subset interned free-variable symbol-id
-// lists ([0]=L, [1]=R), aligned with Subsets and with SubsetFvs entry
-// by entry, under the same sharing contract as PredMasks.
+// lists ([0]=L, [1]=R), aligned with Subsets, under the same sharing
+// contract as PredFvIDs.
 func (s *System) SubsetFvIDs() [][2][]int32 {
 	s.ensureMasks()
 	return s.subFvIDs
@@ -299,8 +283,6 @@ func (s *System) Clone() *System {
 	if s.maskOK {
 		out.predMask = append([]uint64(nil), s.predMask...)
 		out.subMask = append([][2]uint64(nil), s.subMask...)
-		out.predFvs = append([][]string(nil), s.predFvs...)
-		out.subFvs = append([][2][]string(nil), s.subFvs...)
 		out.predFvIDs = append([][]int32(nil), s.predFvIDs...)
 		out.subFvIDs = append([][2][]int32(nil), s.subFvIDs...)
 	}
@@ -328,9 +310,8 @@ func (s *System) AddPred(p Pred) {
 		s.fpAdd(p.hash128())
 	}
 	if s.maskOK {
-		m, f, ids := dpl.FvInfo(p.E)
+		m, _, ids := dpl.FvInfo(p.E)
 		s.predMask = append(s.predMask, m)
-		s.predFvs = append(s.predFvs, f)
 		s.predFvIDs = append(s.predFvIDs, ids)
 	}
 	s.Preds = append(s.Preds, p)
@@ -352,11 +333,9 @@ func (s *System) AddSubset(c Subset) {
 		s.fpAdd(c.hash128())
 	}
 	if s.maskOK {
-		lm, lf, li := dpl.FvInfo(c.L)
-		rm, rf, ri := dpl.FvInfo(c.R)
-		s.subMask = append(s.subMask, [2]uint64{lm, rm})
-		s.subFvs = append(s.subFvs, [2][]string{lf, rf})
-		s.subFvIDs = append(s.subFvIDs, [2][]int32{li, ri})
+		m, ids := subsetFv(c)
+		s.subMask = append(s.subMask, m)
+		s.subFvIDs = append(s.subFvIDs, ids)
 	}
 	s.Subsets = append(s.Subsets, c)
 }
@@ -656,13 +635,8 @@ func (s *System) RegionOfSymID(id int32) (string, bool) {
 	return r, ok
 }
 
-// HasPred reports whether the system contains a predicate of the given
-// kind on a symbol (index lookup).
-func (s *System) HasPred(kind PredKind, symbol string) bool {
-	return s.HasPredID(kind, dpl.SymID(symbol))
-}
-
-// HasPredID is HasPred keyed by dense interned symbol id.
+// HasPredID reports whether the system contains a predicate of the
+// given kind on exactly the symbol with the given interned id.
 func (s *System) HasPredID(kind PredKind, id int32) bool {
 	idx := s.ensureIdx()
 	switch kind {
@@ -676,32 +650,12 @@ func (s *System) HasPredID(kind PredKind, id int32) bool {
 	}
 }
 
-// SubsetsInto returns the subset constraints whose right-hand side is
-// exactly the symbol, in system order (index lookup).
-// SubsetsIntoIdx returns the ascending indices into Subsets whose
-// right-hand side is exactly the symbol. The slice is shared with the
-// index: callers must treat it as read-only and must not hold it across
-// mutations.
-func (s *System) SubsetsIntoIdx(symbol string) []int {
-	return s.SubsetsIntoIdxID(dpl.SymID(symbol))
-}
-
-// SubsetsIntoIdxID is SubsetsIntoIdx keyed by dense interned symbol id,
-// under the same sharing contract.
+// SubsetsIntoIdxID returns the ascending indices into Subsets whose
+// right-hand side is exactly the symbol with the given interned id. The
+// slice is shared with the index: callers must treat it as read-only
+// and must not hold it across mutations.
 func (s *System) SubsetsIntoIdxID(id int32) []int {
 	return s.ensureIdx().subsetsInto[id]
-}
-
-func (s *System) SubsetsInto(symbol string) []Subset {
-	ids := s.SubsetsIntoIdx(symbol)
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]Subset, len(ids))
-	for i, j := range ids {
-		out[i] = s.Subsets[j]
-	}
-	return out
 }
 
 func (s *System) String() string {

@@ -95,12 +95,13 @@ func TestSymbolsAndPartOf(t *testing.T) {
 	if po["P1"] != "R" || po["P2"] != "S" || po["Q"] != "" {
 		t.Errorf("PartOf = %v", po)
 	}
-	if !sys.HasPred(Part, "P1") || sys.HasPred(Disj, "P1") || sys.HasPred(Part, "Q") {
-		t.Error("HasPred wrong")
+	p1, q := dpl.SymID("P1"), dpl.SymID("Q")
+	if !sys.HasPredID(Part, p1) || sys.HasPredID(Disj, p1) || sys.HasPredID(Part, q) {
+		t.Error("HasPredID wrong")
 	}
-	into := sys.SubsetsInto("P2")
-	if len(into) != 1 || into[0].L.String() != "image(P1, g, S)" {
-		t.Errorf("SubsetsInto = %v", into)
+	into := sys.SubsetsIntoIdxID(dpl.SymID("P2"))
+	if len(into) != 1 || sys.Subsets[into[0]].L.String() != "image(P1, g, S)" {
+		t.Errorf("SubsetsIntoIdxID = %v", into)
 	}
 }
 

@@ -73,7 +73,7 @@ func (t *Trail) UndoTo(m Mark) {
 		case opPredSet:
 			s.Preds[op.i] = op.pred
 			if s.maskOK {
-				s.predMask[op.i], s.predFvs[op.i], s.predFvIDs[op.i] = dpl.FvInfo(op.pred.E)
+				s.predMask[op.i], _, s.predFvIDs[op.i] = dpl.FvInfo(op.pred.E)
 			}
 		case opPredRemove:
 			s.Preds = append(s.Preds, Pred{})
@@ -82,20 +82,14 @@ func (t *Trail) UndoTo(m Mark) {
 			if s.maskOK {
 				s.predMask = append(s.predMask, 0)
 				copy(s.predMask[op.i+1:], s.predMask[op.i:])
-				s.predFvs = append(s.predFvs, nil)
-				copy(s.predFvs[op.i+1:], s.predFvs[op.i:])
 				s.predFvIDs = append(s.predFvIDs, nil)
 				copy(s.predFvIDs[op.i+1:], s.predFvIDs[op.i:])
-				s.predMask[op.i], s.predFvs[op.i], s.predFvIDs[op.i] = dpl.FvInfo(op.pred.E)
+				s.predMask[op.i], _, s.predFvIDs[op.i] = dpl.FvInfo(op.pred.E)
 			}
 		case opSubsetSet:
 			s.Subsets[op.i] = op.sub
 			if s.maskOK {
-				lm, lf, li := dpl.FvInfo(op.sub.L)
-				rm, rf, ri := dpl.FvInfo(op.sub.R)
-				s.subMask[op.i] = [2]uint64{lm, rm}
-				s.subFvs[op.i] = [2][]string{lf, rf}
-				s.subFvIDs[op.i] = [2][]int32{li, ri}
+				s.subMask[op.i], s.subFvIDs[op.i] = subsetFv(op.sub)
 			}
 		case opSubsetRemove:
 			s.Subsets = append(s.Subsets, Subset{})
@@ -104,15 +98,9 @@ func (t *Trail) UndoTo(m Mark) {
 			if s.maskOK {
 				s.subMask = append(s.subMask, [2]uint64{})
 				copy(s.subMask[op.i+1:], s.subMask[op.i:])
-				s.subFvs = append(s.subFvs, [2][]string{})
-				copy(s.subFvs[op.i+1:], s.subFvs[op.i:])
 				s.subFvIDs = append(s.subFvIDs, [2][]int32{})
 				copy(s.subFvIDs[op.i+1:], s.subFvIDs[op.i:])
-				lm, lf, li := dpl.FvInfo(op.sub.L)
-				rm, rf, ri := dpl.FvInfo(op.sub.R)
-				s.subMask[op.i] = [2]uint64{lm, rm}
-				s.subFvs[op.i] = [2][]string{lf, rf}
-				s.subFvIDs[op.i] = [2][]int32{li, ri}
+				s.subMask[op.i], s.subFvIDs[op.i] = subsetFv(op.sub)
 			}
 		}
 	}
@@ -131,7 +119,7 @@ func (t *Trail) setPred(i int, p Pred) {
 		s.fpAdd(p.hash128())
 	}
 	if s.maskOK {
-		s.predMask[i], s.predFvs[i], s.predFvIDs[i] = dpl.FvInfo(p.E)
+		s.predMask[i], _, s.predFvIDs[i] = dpl.FvInfo(p.E)
 	}
 	s.Preds[i] = p
 }
@@ -146,8 +134,6 @@ func (t *Trail) removePredAt(i int) {
 	if s.maskOK {
 		copy(s.predMask[i:], s.predMask[i+1:])
 		s.predMask = s.predMask[:len(s.predMask)-1]
-		copy(s.predFvs[i:], s.predFvs[i+1:])
-		s.predFvs = s.predFvs[:len(s.predFvs)-1]
 		copy(s.predFvIDs[i:], s.predFvIDs[i+1:])
 		s.predFvIDs = s.predFvIDs[:len(s.predFvIDs)-1]
 	}
@@ -164,11 +150,7 @@ func (t *Trail) setSubset(i int, c Subset) {
 		s.fpAdd(c.hash128())
 	}
 	if s.maskOK {
-		lm, lf, li := dpl.FvInfo(c.L)
-		rm, rf, ri := dpl.FvInfo(c.R)
-		s.subMask[i] = [2]uint64{lm, rm}
-		s.subFvs[i] = [2][]string{lf, rf}
-		s.subFvIDs[i] = [2][]int32{li, ri}
+		s.subMask[i], s.subFvIDs[i] = subsetFv(c)
 	}
 	s.Subsets[i] = c
 }
@@ -183,8 +165,6 @@ func (t *Trail) removeSubsetAt(i int) {
 	if s.maskOK {
 		copy(s.subMask[i:], s.subMask[i+1:])
 		s.subMask = s.subMask[:len(s.subMask)-1]
-		copy(s.subFvs[i:], s.subFvs[i+1:])
-		s.subFvs = s.subFvs[:len(s.subFvs)-1]
 		copy(s.subFvIDs[i:], s.subFvIDs[i+1:])
 		s.subFvIDs = s.subFvIDs[:len(s.subFvIDs)-1]
 	}

@@ -10,10 +10,7 @@
 // where DPL operators appear syntactically inside constraints.
 package dpl
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Expr is a DPL partition expression. Implementations are immutable;
 // building a new expression never mutates subexpressions.
@@ -293,12 +290,3 @@ func UnionAll(es []Expr) Expr {
 // string is interned: one O(size) construction per distinct expression,
 // O(1) afterwards.
 func Key(e Expr) string { return info(e).key }
-
-// JoinExprs renders a list of expressions for diagnostics.
-func JoinExprs(es []Expr, sep string) string {
-	parts := make([]string, len(es))
-	for i, e := range es {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, sep)
-}

@@ -302,14 +302,6 @@ func SymBit(name string) uint64 {
 // means e is ground (no free symbols) — that direction is exact.
 func FvMask(e Expr) uint64 { return info(e).fvMask }
 
-// FvData returns the mask and the free-variable list with a single
-// intern-table lookup, for callers caching both per conjunct. The slice
-// is interned and shared: callers must not mutate it.
-func FvData(e Expr) (uint64, []string) {
-	in := info(e)
-	return in.fvMask, in.fvs
-}
-
 // FvInfo returns the mask, the free-variable list, and the aligned
 // interned symbol ids with a single intern-table lookup. Both slices
 // are interned and shared: callers must not mutate them.

@@ -128,7 +128,7 @@ func Join(prog *exec.Program, cfg exec.Config, addrs []string, opts Options) (*e
 	}
 	ws := make([]*worker, cfg.Nodes)
 	for id, addr := range addrs {
-		conn, err := dialRetry(addr, opts.DialBudget)
+		conn, err := exec.DialRetry(addr, opts.DialBudget)
 		if err != nil {
 			closeAll(ws[:id])
 			return nil, fmt.Errorf("cluster: dial worker %d (%s): %w", id, addr, err)
@@ -147,34 +147,6 @@ func closeAll(ws []*worker) {
 	for _, w := range ws {
 		if w != nil && w.conn != nil {
 			w.conn.Close()
-		}
-	}
-}
-
-// dialRetry dials addr until it succeeds or the budget is spent,
-// backing off between attempts (a just-spawned worker may not be
-// listening yet; mirrors the mesh's data-plane dial policy).
-func dialRetry(addr string, budget time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(budget)
-	backoff := 10 * time.Millisecond
-	for {
-		attempt := time.Until(deadline)
-		if attempt <= 0 {
-			return nil, fmt.Errorf("dial budget of %v exhausted", budget)
-		}
-		if attempt > time.Second {
-			attempt = time.Second
-		}
-		conn, err := net.DialTimeout("tcp", addr, attempt)
-		if err == nil {
-			return conn, nil
-		}
-		if time.Now().Add(backoff).After(deadline) {
-			return nil, err
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 500*time.Millisecond {
-			backoff = 500 * time.Millisecond
 		}
 	}
 }

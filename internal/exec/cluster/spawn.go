@@ -108,7 +108,7 @@ func startWorker(id int, argv []string, opts SpawnOptions) (*worker, error) {
 		reap(w)
 		return nil, err
 	}
-	conn, err := dialRetry(addr, opts.DialBudget)
+	conn, err := exec.DialRetry(addr, opts.DialBudget)
 	if err != nil {
 		w.kill()
 		reap(w)

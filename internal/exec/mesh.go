@@ -125,7 +125,7 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		if to == cfg.Self {
 			continue
 		}
-		conn, err := dialRetry(cfg.Peers[to], budget)
+		conn, err := DialRetry(cfg.Peers[to], budget)
 		if err != nil {
 			m.Abort()
 			m.CloseSend(m.self) // releases the writers already started
@@ -139,10 +139,12 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	return m, nil
 }
 
-// dialRetry dials addr until it succeeds or the budget is spent,
-// backing off between attempts (peers bootstrap concurrently, so the
-// first attempts may race a listener that is not up yet).
-func dialRetry(addr string, budget time.Duration) (net.Conn, error) {
+// DialRetry dials addr over TCP until it succeeds or the budget is
+// spent, backing off between attempts: peers bootstrap concurrently and
+// a just-spawned worker may not be listening yet, so the first attempts
+// may race a listener that is not up. The mesh's data plane and the
+// cluster's control plane both dial through it.
+func DialRetry(addr string, budget time.Duration) (net.Conn, error) {
 	deadline := time.Now().Add(budget)
 	backoff := 10 * time.Millisecond
 	for {

@@ -183,14 +183,6 @@ func (p *Program) SpaceRoot(name string) string {
 	return name
 }
 
-// SizeOf returns the extent of a region (its space root's size).
-func (p *Program) SizeOf(name string) int64 {
-	if r := p.RegionByName(p.SpaceRoot(name)); r != nil {
-		return r.Size
-	}
-	return 0
-}
-
 // FuncByName finds a function spec.
 func (p *Program) FuncByName(name string) *FuncSpec {
 	for _, f := range p.Funcs {

@@ -72,10 +72,6 @@ func NormalizeLoop(prog *lang.Program, l *lang.Loop) (*Loop, error) {
 	return &Loop{Var: l.Var, Region: l.Region, Stmts: stmts}, nil
 }
 
-// Vars returns variable information recorded during the last
-// normalization (primarily for tests).
-func (n *Normalizer) Vars() map[string]VarInfo { return n.vars }
-
 func (n *Normalizer) fresh() string {
 	n.tmp++
 	// '%' cannot appear in source identifiers, so temporaries never

@@ -2,9 +2,9 @@
 // evaluation engine (region partition operators, the sim scaling driver).
 // It is a thin stdlib-only layer: a Do(n, fn) fan-out over GOMAXPROCS
 // goroutines with deterministic result placement (callers index into
-// pre-sized output slices), plus a process-wide sequential switch
-// (SetSequential) that tests use to compare parallel and sequential
-// evaluations bit-for-bit.
+// pre-sized output slices). SetWorkers(1) makes every Do run inline,
+// which is how tests compare parallel and sequential evaluations
+// bit-for-bit.
 package par
 
 import (
@@ -13,22 +13,12 @@ import (
 	"sync/atomic"
 )
 
-var (
-	sequential atomic.Bool
-	// workers overrides the pool size when > 0; 0 means GOMAXPROCS.
-	workers atomic.Int64
-)
-
-// SetSequential switches every subsequent Do call to inline sequential
-// execution (true) or back to the worker pool (false). Process-wide.
-func SetSequential(v bool) { sequential.Store(v) }
-
-// Sequential reports whether sequential mode is active.
-func Sequential() bool { return sequential.Load() }
+// workers overrides the pool size when > 0; 0 means GOMAXPROCS.
+var workers atomic.Int64
 
 // SetWorkers overrides the pool size; n <= 0 restores the default
-// (GOMAXPROCS). Intended for tests that force the concurrent path on
-// single-CPU machines.
+// (GOMAXPROCS). Intended for tests: n = 1 forces the sequential path,
+// n > 1 the concurrent one even on single-CPU machines.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -44,9 +34,8 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Do runs fn(0), fn(1), ..., fn(n-1), each exactly once. In sequential
-// mode (or when the pool has a single worker) the calls run inline in
-// index order; otherwise they are distributed over min(n, Workers())
+// Do runs fn(0), fn(1), ..., fn(n-1), each exactly once. When the pool
+// has a single worker the calls run inline in index order; otherwise they are distributed over min(n, Workers())
 // goroutines. fn must therefore be safe for concurrent invocation with
 // distinct indices; deterministic output is achieved by having fn write
 // only to the i-th slot of pre-sized slices. A panic in any invocation
@@ -59,7 +48,7 @@ func Do(n int, fn func(i int)) {
 	if w > n {
 		w = n
 	}
-	if n == 1 || w <= 1 || Sequential() {
+	if n == 1 || w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

@@ -31,18 +31,18 @@ func TestDoCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestDoSequentialRunsInOrder(t *testing.T) {
-	SetSequential(true)
-	defer SetSequential(false)
-	var order []int
-	Do(8, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("sequential order = %v", order)
+	withWorkers(t, 1, func() {
+		var order []int
+		Do(8, func(i int) { order = append(order, i) })
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("sequential order = %v", order)
+			}
 		}
-	}
-	if len(order) != 8 {
-		t.Fatalf("len(order) = %d", len(order))
-	}
+		if len(order) != 8 {
+			t.Fatalf("len(order) = %d", len(order))
+		}
+	})
 }
 
 func TestDoPropagatesPanic(t *testing.T) {

@@ -158,8 +158,6 @@ func (s *Session) Metrics() map[string]int {
 	if s.Solution != nil {
 		m["partitions"] = len(s.Solution.Program.Stmts)
 		m["obligations"] = len(s.Solution.System.Preds) + len(s.Solution.System.Subsets)
-		m["solver_memo_hits"] = s.Solution.Stats.MemoHits
-		m["solver_memo_misses"] = s.Solution.Stats.MemoMisses
 		m["solver_closed_hits"] = s.Solution.Stats.ClosedHits
 		m["solver_closed_misses"] = s.Solution.Stats.ClosedMisses
 		m["solver_node_hits"] = s.Solution.Stats.NodeHits

@@ -45,11 +45,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 		return out
 	}
 
-	par.SetSequential(true)
-	seq := build()
-	par.SetSequential(false)
-	par.SetWorkers(4)
 	defer par.SetWorkers(0)
+	par.SetWorkers(1)
+	seq := build()
+	par.SetWorkers(4)
 	parl := build()
 
 	for name, sp := range seq {

@@ -20,14 +20,13 @@ import (
 // writes, two-phase plan/accumulate cost charging, input-ordered sweeps).
 func figureDifferential(t *testing.T, name string, gen func() (sim.Figure, error)) {
 	t.Helper()
-	par.SetSequential(true)
+	defer par.SetWorkers(0)
+	par.SetWorkers(1)
 	seq, err := gen()
 	if err != nil {
 		t.Fatalf("%s sequential: %v", name, err)
 	}
-	par.SetSequential(false)
 	par.SetWorkers(4)
-	defer par.SetWorkers(0)
 	parl, err := gen()
 	if err != nil {
 		t.Fatalf("%s parallel: %v", name, err)

@@ -16,7 +16,6 @@ import (
 	"autopart/internal/ir"
 	"autopart/internal/lang"
 	"autopart/internal/optimize"
-	"autopart/internal/par"
 	"autopart/internal/solver"
 	"autopart/pkg/autopart"
 )
@@ -58,8 +57,7 @@ func compileColdSources() [][2]string {
 // decisionStats is the part of SolveStats that records which decisions
 // Algorithm 2 and 3 took, as opposed to how long they took.
 type decisionStats struct {
-	Nodes                            int
-	MemoHits, MemoMisses             int
+	Nodes, NodeHits                  int
 	ClosedHits, ClosedMisses         int
 	UnifyRoundHits, UnifyRoundMisses int
 	GraphBuilds, GraphExtends        int
@@ -67,8 +65,7 @@ type decisionStats struct {
 
 func decisionsOf(st solver.SolveStats) decisionStats {
 	return decisionStats{
-		Nodes:    st.Nodes,
-		MemoHits: st.MemoHits, MemoMisses: st.MemoMisses,
+		Nodes: st.Nodes, NodeHits: st.NodeHits,
 		ClosedHits: st.ClosedHits, ClosedMisses: st.ClosedMisses,
 		UnifyRoundHits: st.UnifyRoundHits, UnifyRoundMisses: st.UnifyRoundMisses,
 		GraphBuilds: st.GraphBuilds, GraphExtends: st.GraphExtends,
@@ -76,24 +73,22 @@ func decisionsOf(st solver.SolveStats) decisionStats {
 }
 
 // TestSolveDecisionsPinned pins the solver's decision counters on the
-// compile-cold sources, compiled from an empty intern table with four
-// workers, so the counters hold whatever the worker count. Equal output
-// alone would not show a change in which candidates Algorithm 3 checks,
-// when the same winner is committed; the candidate-check memo lookups,
-// the search nodes behind them and the graph cache's activity do.
+// compile-cold sources, each compiled one-shot from an empty intern
+// table. Equal output alone would not show a change in which candidates
+// Algorithm 3 checks, when the same winner is committed; the search
+// nodes behind those checks, the subtrees and closed conjuncts the memos
+// cut, and the graph cache's activity do.
 func TestSolveDecisionsPinned(t *testing.T) {
 	want := map[string]decisionStats{
 		"spmv":         {Nodes: 7, ClosedMisses: 1, UnifyRoundMisses: 1, GraphBuilds: 1},
 		"stencil":      {Nodes: 20, ClosedMisses: 1, UnifyRoundMisses: 2, GraphBuilds: 1, GraphExtends: 1},
 		"circuit":      {Nodes: 14, ClosedMisses: 2, UnifyRoundMisses: 3, GraphBuilds: 1, GraphExtends: 1},
 		"circuit-hint": {Nodes: 14, ClosedMisses: 2, UnifyRoundMisses: 3, GraphBuilds: 1, GraphExtends: 1},
-		"miniaero":     {Nodes: 553, MemoMisses: 20, ClosedHits: 106, ClosedMisses: 81, UnifyRoundMisses: 43, GraphBuilds: 1, GraphExtends: 22},
-		"pennant":      {Nodes: 76, MemoMisses: 2, ClosedHits: 3, ClosedMisses: 5, UnifyRoundMisses: 39, GraphBuilds: 1, GraphExtends: 7},
-		"pennant-h2":   {Nodes: 76, MemoMisses: 2, ClosedHits: 1, ClosedMisses: 2, UnifyRoundMisses: 39, GraphBuilds: 1, GraphExtends: 7},
+		"miniaero":     {Nodes: 553, ClosedHits: 106, ClosedMisses: 81, UnifyRoundMisses: 43, GraphBuilds: 1, GraphExtends: 22},
+		"pennant":      {Nodes: 76, ClosedHits: 3, ClosedMisses: 5, UnifyRoundMisses: 39, GraphBuilds: 1, GraphExtends: 7},
+		"pennant-h2":   {Nodes: 76, ClosedHits: 1, ClosedMisses: 2, UnifyRoundMisses: 39, GraphBuilds: 1, GraphExtends: 7},
 		"synth50":      {Nodes: 4, ClosedMisses: 1, UnifyRoundMisses: 50, GraphBuilds: 1, GraphExtends: 1},
 	}
-	par.SetWorkers(4)
-	defer par.SetWorkers(0)
 	for _, p := range compileColdSources() {
 		name, src := p[0], p[1]
 		dpl.Default().Reset()
@@ -105,6 +100,26 @@ func TestSolveDecisionsPinned(t *testing.T) {
 		if w, ok := want[name]; !ok || got != w {
 			t.Errorf("%s: decision counters\n got %+v\nwant %+v", name, got, w)
 		}
+	}
+}
+
+// TestGeneratedSearchPinned pins the summed search counters of one-shot
+// compiles of gen.Small seeds 0–399 (the 246 that compile), so a change
+// to which subtrees the per-compile refuted-subtree memo cuts shows here
+// even when every program's output stays the same.
+func TestGeneratedSearchPinned(t *testing.T) {
+	compiled, nodes, nodeHits := 0, 0, 0
+	for seed := int64(0); seed < 400; seed++ {
+		c, err := autopart.Compile(gen.Generate(seed, gen.Small).Src, autopart.Options{})
+		if err != nil {
+			continue
+		}
+		compiled++
+		nodes += c.Solution.Stats.Nodes
+		nodeHits += c.Solution.Stats.NodeHits
+	}
+	if compiled != 246 || nodes != 7641 || nodeHits != 129 {
+		t.Errorf("compiled/Nodes/NodeHits = %d/%d/%d, want 246/7641/129", compiled, nodes, nodeHits)
 	}
 }
 

@@ -8,49 +8,43 @@ import (
 	"autopart/internal/dpl"
 )
 
-// MemoCache is a bounded, concurrency-safe store for the solver's three
-// verdict memos — solvability (Algorithm 3 candidate checks),
-// closed-conjunct proofs, and refuted search subtrees — shared across
-// compiles. Verdicts are deterministic functions of (a) the constraint
-// system's 128-bit content fingerprint and (b) the solving context (the
-// external assumption system and symbol set), so entries stay valid for
-// the lifetime of the process: the cache key combines both, and content
+// MemoCache is a bounded, concurrency-safe store for the solver's two
+// cross-compile memos: closed-conjunct verdicts (Algorithm 2's per-node
+// early pruning) and unification-round winners (Algorithm 3). Entries
+// are deterministic functions of (a) a fingerprint of the constraint
+// systems involved and (b) the solving context (the external assumption
+// system, symbol set and declared-partial functions), so they stay valid
+// for the lifetime of the process: the key combines both, and content
 // fingerprints are independent of intern-table generations, so epoch
 // reclamation of the dpl table never invalidates the cache.
 //
-// A Service injects one MemoCache into every compile it runs; the
-// thousandth compile of a near-identical program then finds nearly all
-// of its verdicts precomputed. A Solver constructed without an injected
-// cache gets a private one sized so it never evicts within a compile,
-// reproducing the old per-compile maps exactly.
+// A Service injects one MemoCache into every compile it runs, so a
+// recompile of a near-identical program replays its unification rounds
+// and finds its closed-conjunct verdicts precomputed. A Solver
+// constructed without an injected cache gets a private one.
 //
-// Bounding uses two rotating generations (a segmented LRU): inserts go
-// to the current generation; when it fills, the previous generation is
-// dropped (counted as evictions) and the current one takes its place.
-// Lookups hit both generations and promote previous-generation hits, so
-// hot entries survive rotation while stale ones age out. Memory is
-// therefore bounded by ~2× the configured capacity.
+// Each memo is bounded by two rotating generations (a segmented LRU):
+// inserts go to the current generation; when it fills, the previous
+// generation is dropped (counted as evictions) and the current one takes
+// its place. Lookups hit both generations and promote previous-generation
+// hits, so hot entries survive rotation while stale ones age out. Memory
+// is therefore bounded by ~2× the configured capacity per memo.
 type MemoCache struct {
-	mu       sync.Mutex
-	cap      int
-	verdicts twoGen[bool]
-	// hits/misses count verdict-cache lookups (solvable + closed): every
-	// miss is work a warmer cache would have skipped. nodeHits/nodeMisses
-	// count refuted-subtree lookups separately — that memo is a
-	// blocklist (only refutations are ever stored; absence is the steady
-	// state for solvable subtrees), so its absences are not cache
-	// failures and must not dilute the hit rate.
-	hits, misses         uint64
-	nodeHits, nodeMisses uint64
+	mu  sync.Mutex
+	cap int
 
-	// The unification-round memo caches Algorithm 3's per-round greedy
-	// winner (the committed rename set, or the absence of one) keyed by
-	// the round's complete deterministic input: solving context plus
-	// order-sensitive fingerprints of the accumulated and incoming
-	// systems. Recompiles of a near-identical program replay the same
-	// rounds, so a warm service skips subgraph matching and candidate
-	// solvability checks entirely for every unchanged round. Bounded by
-	// the same two-generation rotation as the verdicts.
+	// closed holds closed-conjunct verdicts; hits/misses count its
+	// lookups, and every miss is work a warmer cache would have skipped.
+	closed       twoGen[bool]
+	hits, misses uint64
+
+	// rounds holds Algorithm 3's per-round greedy winner (the committed
+	// rename set, or the absence of one) keyed by the round's complete
+	// deterministic input: solving context plus order-sensitive
+	// fingerprints of the accumulated and incoming systems. Recompiles
+	// of a near-identical program replay the same rounds, so a warm
+	// service skips subgraph matching and candidate solvability checks
+	// for every unchanged round.
 	rounds                 twoGen[unifyWinner]
 	unifyHits, unifyMisses uint64
 }
@@ -105,31 +99,15 @@ type renamePair struct{ from, to string }
 // NewMemoCache is given a non-positive capacity.
 const DefaultMemoCacheCap = 1 << 18
 
-// privateMemoCap sizes the private cache of a Solver constructed without
-// an injected one: large enough that no realistic single compile ever
-// rotates, preserving the exact behavior of the former unbounded maps.
-const privateMemoCap = 1 << 20
-
-// memoKind namespaces the three verdict families within one cache.
-type memoKind uint8
-
-const (
-	memoSolvable memoKind = iota
-	memoClosed
-	memoNode
-	memoUnify
-)
-
-// memoKey is one cache entry's identity: verdict family, solving-context
-// fingerprint, and system fingerprint.
+// memoKey is one cache entry's identity: solving-context fingerprint
+// and system fingerprint.
 type memoKey struct {
-	kind memoKind
-	ctx  [2]uint64
-	fp   [2]uint64
+	ctx [2]uint64
+	fp  [2]uint64
 }
 
 // NewMemoCache returns a cache bounded at roughly 2×capacity entries
-// (capacity <= 0 selects DefaultMemoCacheCap).
+// per memo (capacity <= 0 selects DefaultMemoCacheCap).
 func NewMemoCache(capacity int) *MemoCache {
 	if capacity <= 0 {
 		capacity = DefaultMemoCacheCap
@@ -137,33 +115,24 @@ func NewMemoCache(capacity int) *MemoCache {
 	return &MemoCache{cap: capacity}
 }
 
-// lookup returns the cached verdict and whether it was present,
-// promoting previous-generation hits into the current generation.
-func (c *MemoCache) lookup(k memoKey) (verdict, ok bool) {
+// lookupClosed returns the cached closed-conjunct verdict for k and
+// whether it was present.
+func (c *MemoCache) lookupClosed(k memoKey) (verdict, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	verdict, ok = c.verdicts.get(k, c.cap)
-	c.countLocked(k.kind, ok)
+	verdict, ok = c.closed.get(k, c.cap)
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
 	return verdict, ok
 }
 
-func (c *MemoCache) countLocked(kind memoKind, hit bool) {
-	switch {
-	case kind == memoNode && hit:
-		c.nodeHits++
-	case kind == memoNode:
-		c.nodeMisses++
-	case hit:
-		c.hits++
-	default:
-		c.misses++
-	}
-}
-
-// store records a verdict, rotating generations at capacity.
-func (c *MemoCache) store(k memoKey, v bool) {
+// storeClosed records a closed-conjunct verdict.
+func (c *MemoCache) storeClosed(k memoKey, v bool) {
 	c.mu.Lock()
-	c.verdicts.put(k, v, c.cap)
+	c.closed.put(k, v, c.cap)
 	c.mu.Unlock()
 }
 
@@ -180,7 +149,7 @@ func (c *MemoCache) lookupUnify(k memoKey) (unifyWinner, bool) {
 	return w, ok
 }
 
-// storeUnify records a round winner, rotating generations at capacity.
+// storeUnify records a round winner.
 func (c *MemoCache) storeUnify(k memoKey, w unifyWinner) {
 	c.mu.Lock()
 	c.rounds.put(k, w, c.cap)
@@ -189,22 +158,17 @@ func (c *MemoCache) storeUnify(k memoKey, w unifyWinner) {
 
 // MemoCacheStats is a point-in-time snapshot of cache activity.
 type MemoCacheStats struct {
-	// Hits and Misses count verdict-cache lookups (solvability and
-	// closed-conjunct proofs) across all compiles sharing the cache
-	// since construction.
+	// Hits and Misses count closed-conjunct verdict lookups across all
+	// compiles sharing the cache since construction.
 	Hits, Misses uint64
-	// NodeHits and NodeMisses count refuted-subtree blocklist lookups.
-	// They are reported separately because only refutations are stored:
-	// a blocklist absence is the expected steady state, not avoidable
-	// work, so these do not feed HitRate.
-	NodeHits, NodeMisses uint64
 	// UnifyHits and UnifyMisses count unification-round memo lookups;
 	// every hit skips one round of subgraph matching and candidate
 	// solvability checks.
 	UnifyHits, UnifyMisses uint64
 	// Evictions counts entries dropped by generation rotation.
 	Evictions uint64
-	// Entries is the current live entry count (both generations).
+	// Entries is the current live entry count (both memos, both
+	// generations).
 	Entries int
 }
 
@@ -224,12 +188,10 @@ func (c *MemoCache) Stats() MemoCacheStats {
 	return MemoCacheStats{
 		Hits:        c.hits,
 		Misses:      c.misses,
-		NodeHits:    c.nodeHits,
-		NodeMisses:  c.nodeMisses,
 		UnifyHits:   c.unifyHits,
 		UnifyMisses: c.unifyMisses,
-		Evictions:   c.verdicts.evictions + c.rounds.evictions,
-		Entries:     c.verdicts.len() + c.rounds.len(),
+		Evictions:   c.closed.evictions + c.rounds.evictions,
+		Entries:     c.closed.len() + c.rounds.len(),
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func mk(i int) memoKey {
-	return memoKey{kind: memoSolvable, fp: [2]uint64{uint64(i), uint64(i) * 31}}
+	return memoKey{fp: [2]uint64{uint64(i), uint64(i) * 31}}
 }
 
 // TestMemoCacheBoundedRotation pins the segmented-LRU bound: the cache
@@ -18,13 +18,13 @@ func mk(i int) memoKey {
 func TestMemoCacheBoundedRotation(t *testing.T) {
 	c := NewMemoCache(4)
 	for i := 0; i < 4; i++ {
-		c.store(mk(i), true)
+		c.storeClosed(mk(i), true)
 	}
 	// Touch entry 0 after filling: it sits in the (full) current
 	// generation. The next store rotates; entry 0 moves to the old
 	// generation, and a subsequent lookup must still find and promote it.
-	c.store(mk(4), false) // rotation: cur was full
-	if v, ok := c.lookup(mk(0)); !ok || !v {
+	c.storeClosed(mk(4), false) // rotation: cur was full
+	if v, ok := c.lookupClosed(mk(0)); !ok || !v {
 		t.Fatalf("entry 0 lost across one rotation: ok=%v v=%v", ok, v)
 	}
 	st := c.Stats()
@@ -33,7 +33,7 @@ func TestMemoCacheBoundedRotation(t *testing.T) {
 	}
 	// Overflow until the original old generation drops.
 	for i := 5; i < 20; i++ {
-		c.store(mk(i), true)
+		c.storeClosed(mk(i), true)
 	}
 	st = c.Stats()
 	if st.Entries > 8 {
@@ -47,12 +47,12 @@ func TestMemoCacheBoundedRotation(t *testing.T) {
 // TestMemoCacheStats checks hit/miss accounting and HitRate.
 func TestMemoCacheStats(t *testing.T) {
 	c := NewMemoCache(16)
-	if _, ok := c.lookup(mk(1)); ok {
+	if _, ok := c.lookupClosed(mk(1)); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.store(mk(1), true)
+	c.storeClosed(mk(1), true)
 	for i := 0; i < 9; i++ {
-		if v, ok := c.lookup(mk(1)); !ok || !v {
+		if v, ok := c.lookupClosed(mk(1)); !ok || !v {
 			t.Fatal("stored entry missing")
 		}
 	}
@@ -77,8 +77,8 @@ func TestMemoCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := mk((g*131 + i) % 200)
-				if _, ok := c.lookup(k); !ok {
-					c.store(k, i%2 == 0)
+				if _, ok := c.lookupClosed(k); !ok {
+					c.storeClosed(k, i%2 == 0)
 				}
 			}
 		}()
@@ -119,38 +119,42 @@ func TestContextFingerprintSeparation(t *testing.T) {
 }
 
 // TestSharedCacheVerdictReuse runs two solvers over the same system
-// through one shared cache: the second must answer its solvable checks
-// from the cache (per-solver MemoMisses == 0) and return the same
-// verdict.
+// through one shared cache: the second must answer its closed-conjunct
+// check from the cache (per-solver ClosedMisses == 0) and return the
+// same verdict, and a solver with another solving context must never
+// reuse the entry.
 func TestSharedCacheVerdictReuse(t *testing.T) {
+	// pa ⊆ pa ∪ pb is closed over the external symbols pa and pb, so the
+	// search's first node proves it through the closed-conjunct memo.
 	sys := &constraint.System{}
-	sys.Preds = append(sys.Preds,
-		constraint.Pred{Kind: constraint.Part, E: dpl.Var{Name: "p1"}, Region: "R"},
-		constraint.Pred{Kind: constraint.Disj, E: dpl.Var{Name: "p1"}, Region: "R"},
-	)
+	sys.Subsets = append(sys.Subsets, constraint.Subset{
+		L: dpl.Var{Name: "pa"},
+		R: dpl.UnionAll([]dpl.Expr{dpl.Var{Name: "pa"}, dpl.Var{Name: "pb"}}),
+	})
+	ext := []string{"pa", "pb"}
 
 	cache := NewMemoCache(1024)
-	s1 := NewWithCache(nil, nil, cache)
+	s1 := NewWithCache(nil, ext, cache)
 	v1 := s1.solvable(sys)
-	if st := s1.Stats(); st.MemoMisses != 1 || st.MemoHits != 0 {
-		t.Fatalf("cold solver: hits/misses = %d/%d, want 0/1", st.MemoHits, st.MemoMisses)
+	if st := s1.Stats(); st.ClosedMisses != 1 || st.ClosedHits != 0 {
+		t.Fatalf("cold solver: hits/misses = %d/%d, want 0/1", st.ClosedHits, st.ClosedMisses)
 	}
 
-	s2 := NewWithCache(nil, nil, cache)
+	s2 := NewWithCache(nil, ext, cache)
 	v2 := s2.solvable(sys)
 	if v1 != v2 {
 		t.Fatalf("verdicts differ across shared-cache solvers: %v vs %v", v1, v2)
 	}
-	if st := s2.Stats(); st.MemoHits != 1 || st.MemoMisses != 0 {
-		t.Errorf("warm solver: hits/misses = %d/%d, want 1/0", st.MemoHits, st.MemoMisses)
+	if st := s2.Stats(); st.ClosedHits != 1 || st.ClosedMisses != 0 {
+		t.Errorf("warm solver: hits/misses = %d/%d, want 1/0", st.ClosedHits, st.ClosedMisses)
 	}
 
 	// A solver with a different external context must NOT reuse the
 	// verdict entry (regardless of what its own verdict is).
-	s3 := NewWithCache(nil, []string{"p9"}, cache)
+	s3 := NewWithCache(nil, append(ext, "p9"), cache)
 	s3.solvable(sys)
-	if st := s3.Stats(); st.MemoHits != 0 {
-		t.Errorf("cross-context solver reused a foreign memo entry (hits=%d)", st.MemoHits)
+	if st := s3.Stats(); st.ClosedHits != 0 || st.ClosedMisses != 1 {
+		t.Errorf("cross-context solver: hits/misses = %d/%d, want 0/1", st.ClosedHits, st.ClosedMisses)
 	}
 }
 
@@ -161,7 +165,7 @@ func TestMemoCacheDefaultCap(t *testing.T) {
 		t.Errorf("cap = %d, want %d", c.cap, DefaultMemoCacheCap)
 	}
 	for i := 0; i < 10; i++ {
-		c.store(mk(i), true)
+		c.storeClosed(mk(i), true)
 	}
 	if c.Stats().Entries != 10 {
 		t.Errorf("entries = %d, want 10", c.Stats().Entries)

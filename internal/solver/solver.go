@@ -9,9 +9,10 @@
 // The solver's data-plane is built for speed without changing output:
 // expressions are hash-consed (package dpl), the working system is
 // mutated in place under an undo trail so a backtracking node costs
-// O(delta) instead of a full copy, and solvability verdicts are memoized
-// by canonical system fingerprint. Algorithm 3 checks each round's
-// candidates in one greedy loop, committing the first that passes.
+// O(delta) instead of a full copy, and closed-conjunct verdicts and
+// refuted search subtrees are memoized by canonical system fingerprint.
+// Algorithm 3 checks each round's candidates in one greedy loop,
+// committing the first that passes.
 package solver
 
 import (
@@ -57,13 +58,16 @@ func (s *Solution) Resolve(sym string) string {
 // SolveStats counts cache and search activity across one Solver's
 // lifetime (every solvable check and solve run).
 type SolveStats struct {
-	// MemoHits/MemoMisses count solvability-verdict lookups by system
-	// fingerprint (Algorithm 3's candidate checks).
+	// MemoHits and MemoMisses are always zero: no solvability verdict
+	// is memoized. They are kept only because the benchmark's
+	// solver.memo_hit_ratio row reads them; both go with that row in the
+	// next change to the benchmark.
 	MemoHits, MemoMisses int
 	// ClosedHits/ClosedMisses count closed-conjunct verdict lookups
 	// (Algorithm 2's per-node early pruning).
 	ClosedHits, ClosedMisses int
-	// NodeHits counts search nodes cut by the refuted-subtree memo.
+	// NodeHits counts search nodes cut by the Solver's refuted-subtree
+	// memo.
 	NodeHits int
 	// Nodes counts backtracking search nodes visited.
 	Nodes int
@@ -94,7 +98,7 @@ type extCandidate struct {
 }
 
 // Solver holds the fixed context of one solving run. A Solver is used
-// by one goroutine; only its memo cache may be shared with other
+// by one goroutine; only its MemoCache may be shared with other
 // solvers.
 type Solver struct {
 	external     *constraint.System
@@ -115,13 +119,16 @@ type Solver struct {
 	// dents the cap of later ones.
 	budget int
 
-	// cache stores the three verdict memos — solvability (Algorithm 3's
-	// candidate checks), closed-conjunct proofs, and refuted search
-	// subtrees — keyed by (ctx, system fingerprint). It is either a
+	// cache stores the closed-conjunct verdicts and unification-round
+	// winners, keyed by (ctx, system fingerprint). It is either a
 	// private per-compile cache (New) or a cross-compile cache shared by
-	// a compile service (NewWithCache); either way the verdicts are
+	// a compile service (NewWithCache); either way the entries are
 	// deterministic functions of the key, so sharing is sound.
 	cache *MemoCache
+	// refuted holds the fingerprints of conjunct sets whose search
+	// subtree failed within this Solver's budget: every Algorithm 3
+	// check and the final Solve share it, and it dies with the compile.
+	refuted map[[2]uint64]bool
 	// ctx is this solver's half of every memo key: a fingerprint of the
 	// external assumption system, symbol set, and declared-partial
 	// function set (see contextFingerprint).
@@ -142,18 +149,19 @@ func New(external *constraint.System, externalSyms []string) *Solver {
 	return NewWithCache(external, externalSyms, nil)
 }
 
-// NewWithCache creates a solver whose verdict memos live in the given
-// cross-compile cache; a nil cache selects a private one sized to never
-// evict within a compile (the classic per-compile behavior).
+// NewWithCache creates a solver whose closed-conjunct and
+// unification-round memos live in the given cross-compile cache; a nil
+// cache selects a private one.
 func NewWithCache(external *constraint.System, externalSyms []string, cache *MemoCache) *Solver {
 	if cache == nil {
-		cache = NewMemoCache(privateMemoCap)
+		cache = NewMemoCache(0)
 	}
 	s := &Solver{
 		external:     external,
 		externalSyms: map[string]bool{},
 		budget:       200000,
 		cache:        cache,
+		refuted:      map[[2]uint64]bool{},
 	}
 	if external == nil {
 		s.external = &constraint.System{}
@@ -284,8 +292,8 @@ type symRef struct {
 
 // search is one backtracking run of Algorithm 2 over one working system.
 // It owns its budget countdown and undo trail, so each Algorithm 3
-// check and the final Solve run apart; only the memo lookups go through
-// the Solver's cache.
+// check and the final Solve run apart; only the memos are shared, through
+// the Solver.
 type search struct {
 	s     *Solver
 	c     *constraint.System
@@ -294,7 +302,7 @@ type search struct {
 	budget int
 	// exhausted is set once the budget hits zero: failures after that
 	// point may be budget-caused, so they are never recorded as
-	// refutations in the node memo.
+	// refutations in the refuted-subtree memo.
 	exhausted bool
 }
 
@@ -425,11 +433,10 @@ func (sr *search) solve(sol []equation, syms []symRef) ([]equation, bool) {
 	}
 
 	// Refuted-subtree memo: if an earlier (completed) exploration of this
-	// exact conjunct set failed — in this compile or, with a shared
-	// cache, any previous one — every rule candidate below fails again.
+	// exact conjunct set failed in this compile, every rule candidate
+	// below fails again.
 	fp := c.Fingerprint128()
-	refuted, _ := s.cache.lookup(memoKey{kind: memoNode, ctx: s.ctx, fp: fp})
-	if refuted {
+	if s.refuted[fp] {
 		s.stats.NodeHits++
 		sr.trail.UndoTo(entry)
 		return nil, false
@@ -599,7 +606,7 @@ func (sr *search) noteRefuted(fp [2]uint64) {
 	if sr.exhausted {
 		return
 	}
-	sr.s.cache.store(memoKey{kind: memoNode, ctx: sr.s.ctx, fp: fp}, true)
+	sr.s.refuted[fp] = true
 }
 
 // consumeClosedConjuncts verifies every conjunct without free
@@ -637,15 +644,14 @@ func (sr *search) consumeClosedConjuncts() bool {
 		return true
 	}
 
-	fp := c.Fingerprint128()
-	key := memoKey{kind: memoClosed, ctx: s.ctx, fp: fp}
-	verdict, cached := s.cache.lookup(key)
+	key := memoKey{ctx: s.ctx, fp: c.Fingerprint128()}
+	verdict, cached := s.cache.lookupClosed(key)
 	if cached {
 		s.stats.ClosedHits++
 	} else {
 		s.stats.ClosedMisses++
 		verdict = sr.proveClosedConjuncts(closedPredIdx, closedSubIdx)
-		s.cache.store(key, verdict)
+		s.cache.storeClosed(key, verdict)
 	}
 	if !verdict {
 		return false

@@ -14,23 +14,11 @@ import (
 // a yes/no, so they get a much smaller node allowance than a full Solve.
 const solvableBudget = 20000
 
-// solvable runs a full solve on a candidate system (Algorithm 3 line 13).
-// Verdicts are memoized by canonical system fingerprint: the per-round
-// candidates differ only in a few renamed conjuncts, and later rounds
-// (and later systems) re-produce merged systems checked before. The
-// verdict is a deterministic function of the conjunct set and the
-// solver's fixed external assumptions, so the cache is sound. Each miss
-// runs its own search, with its own budget over its own working clone.
+// solvable runs a full solve on a candidate system (Algorithm 3 line
+// 13), with its own budget over its own working clone.
 func (s *Solver) solvable(sys *constraint.System) bool {
-	key := memoKey{kind: memoSolvable, ctx: s.ctx, fp: sys.Fingerprint128()}
-	if v, hit := s.cache.lookup(key); hit {
-		s.stats.MemoHits++
-		return v
-	}
-	s.stats.MemoMisses++
 	sr := s.newSearch(sys, solvableBudget)
 	_, ok := sr.solve(nil, s.unresolved(sr.c))
-	s.cache.store(key, ok)
 	return ok
 }
 
@@ -203,7 +191,7 @@ func (s *Solver) UnifyAndSolve(systems []*constraint.System) (*constraint.System
 			fp[0] = (fp[0] ^ h[0]) * p1
 			fp[1] = (fp[1] ^ h[1]) * p2
 		}
-		return memoKey{kind: memoUnify, ctx: s.ctx, fp: fp}
+		return memoKey{ctx: s.ctx, fp: fp}
 	}
 
 	for _, cur := range ordered {
@@ -598,8 +586,8 @@ func SolveProgram(results []*infer.Result, external *constraint.System, external
 
 // SolveProgramPartial is SolveProgram with an injected cross-compile
 // memo cache (nil selects a private one) and the program's declared-
-// partial index function set. Verdict reuse never changes output:
-// cached solvability/closed/refuted verdicts are exactly what the
+// partial index function set. Memo reuse never changes output: cached
+// closed-conjunct verdicts and round winners are exactly what the
 // searches would recompute, so a warm cache accelerates the same
 // byte-identical solution. Provers refuse totality-dependent lemmas
 // (L7) on the partial functions, and the memo context is keyed on the

@@ -16,9 +16,9 @@ type ServiceOptions struct {
 	// MaxConcurrent bounds the number of compiles executing at once;
 	// excess requests queue. Non-positive selects GOMAXPROCS.
 	MaxConcurrent int
-	// MemoCacheCap is the per-generation capacity of the shared solver
-	// memo cache (entries); non-positive selects
-	// solver.DefaultMemoCacheCap. The cache holds at most ~2× this many
+	// MemoCacheCap is the per-generation capacity of each of the shared
+	// solver memo cache's two memos (entries); non-positive selects
+	// solver.DefaultMemoCacheCap. Each memo holds at most ~2× this many
 	// entries.
 	MemoCacheCap int
 	// InternMaxEntries, when positive, bounds the process-wide dpl intern
@@ -37,12 +37,12 @@ type ServiceOptions struct {
 
 // Service is a concurrency-safe compile-as-a-service front end: it
 // shares one solver memo cache across every compile it runs (so
-// recompiles of similar programs reuse solvability, closed-conjunct,
-// and refuted-subtree verdicts), bounds
-// in-flight compiles, and keeps the shared intern table inside a memory
-// budget via epoch-based reclamation. Results are byte-identical to
-// one-shot Compile — the cache stores verdicts a fresh solver would
-// recompute, never approximations.
+// recompiles of similar programs replay Algorithm 3's unification
+// rounds and reuse closed-conjunct verdicts), bounds in-flight
+// compiles, and keeps the shared intern table inside a memory budget
+// via epoch-based reclamation. Results are byte-identical to one-shot
+// Compile: the cache stores what a fresh solver would recompute, never
+// approximations.
 type Service struct {
 	base  Options
 	cache *solver.MemoCache
@@ -245,7 +245,8 @@ type ServiceStats struct {
 	InFlight int
 	// MaxConcurrent is the configured concurrency bound.
 	MaxConcurrent int
-	// Memo snapshots the shared solver memo cache.
+	// Memo snapshots the shared solver memo cache: its closed-conjunct
+	// verdict and unification-round lookups.
 	Memo solver.MemoCacheStats
 	// InternEntries is the shared intern table's live entry count;
 	// InternGeneration and InternReclaims count rebuilds (an id is only
