@@ -419,3 +419,26 @@ func OpaqueFn(name string, args []float64) float64 {
 	}
 	return float64(acc % 4093)
 }
+
+// OpaqueSeed, OpaqueMix and OpaqueValue compute OpaqueFn one argument at
+// a time, for an executor that resolves the function name once and mixes
+// the arguments as it evaluates them: OpaqueFn(name, args) equals
+// OpaqueValue of OpaqueSeed(name) mixed with every args[i] in order.
+func OpaqueSeed(name string) int64 {
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	return int64(h.Sum32() % 97)
+}
+
+// OpaqueMix folds argument i, with value a, into acc.
+func OpaqueMix(acc int64, i int, a float64) int64 {
+	acc = acc*3 + int64(a)*(int64(i)+2)
+	acc %= 1000003
+	if acc < 0 {
+		acc += 1000003
+	}
+	return acc
+}
+
+// OpaqueValue is the function value of a fully mixed acc.
+func OpaqueValue(acc int64) float64 { return float64(acc % 4093) }

@@ -351,3 +351,42 @@ for i in R {
 		}
 	}
 }
+
+// TestOpaqueSeedMatchesOpaqueFn holds the split form of the opaque
+// function (a seed per name, one mix per argument) to OpaqueFn over
+// random names and argument vectors: no arguments, more than eight,
+// and negative, fractional and large values.
+func TestOpaqueSeedMatchesOpaqueFn(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	value := func() float64 {
+		switch rng.Intn(5) {
+		case 0:
+			return float64(rng.Intn(100))
+		case 1:
+			return -float64(rng.Intn(1e6))
+		case 2:
+			return rng.NormFloat64() * 50
+		case 3:
+			return float64(rng.Int63n(1e12)) + 1e6
+		}
+		return -rng.Float64() * 1e9
+	}
+	const letters = "abcdefghijklmnopqrstuvwxyz_0123456789"
+	for trial := 0; trial < 2000; trial++ {
+		name := make([]byte, rng.Intn(12))
+		for i := range name {
+			name[i] = letters[rng.Intn(len(letters))]
+		}
+		args := make([]float64, rng.Intn(20))
+		for i := range args {
+			args[i] = value()
+		}
+		acc := OpaqueSeed(string(name))
+		for i, a := range args {
+			acc = OpaqueMix(acc, i, a)
+		}
+		if got, want := OpaqueValue(acc), OpaqueFn(string(name), args); got != want {
+			t.Fatalf("%q%v: split form %v, OpaqueFn %v", name, args, got, want)
+		}
+	}
+}

@@ -151,11 +151,12 @@ type OwnedPiece struct {
 }
 
 // SplitByOwner splits s along the colors of the owner partition,
-// returning the non-empty pieces in ascending color order. Both the cost
-// model (predicting transfer volumes) and the distributed executor
-// (planning the actual messages) derive their per-pair traffic from this
-// split, which is what keeps measured and predicted bytes comparable.
-// Elements of s outside the owner's union appear in no piece.
+// returning the non-empty pieces in ascending color order. The cost
+// model predicts its per-pair transfer volumes from this split. The
+// distributed executor does not call it: its schedule derives the
+// messages it sends independently, and TestCommMatchesSim holds the two
+// derivations equal pair by pair. Elements of s outside the owner's
+// union appear in no piece.
 func SplitByOwner(s geometry.IndexSet, owner *Partition) []OwnedPiece {
 	if s.Empty() {
 		return nil

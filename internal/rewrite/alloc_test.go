@@ -3,7 +3,9 @@ package rewrite_test
 import (
 	"testing"
 
+	"autopart/internal/apps/miniaero"
 	"autopart/internal/apps/stencil"
+	"autopart/internal/exec"
 	"autopart/internal/rewrite"
 	"autopart/pkg/autopart"
 )
@@ -37,5 +39,45 @@ func TestRunShardAllocsFlat(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("%.0f allocations per shard at 16,384 elements, %.0f at 1,024; want equal", counts[1], counts[0])
+	}
+}
+
+// BenchmarkRunShard runs color 0 of every launch of stencil and
+// miniaero at their default sizes on 8 nodes, each against the
+// program's initial machine: the shard interpreter's own cost, without
+// the executor's schedule, transport or flush around it.
+func BenchmarkRunShard(b *testing.B) {
+	type app struct {
+		name  string
+		src   string
+		build func(*autopart.Compiled) (*exec.Program, error)
+	}
+	apps := []app{
+		{"stencil", stencil.Source(), func(c *autopart.Compiled) (*exec.Program, error) {
+			return stencil.Executable(stencil.DefaultConfig(), c, 8)
+		}},
+		{"miniaero", miniaero.Source(), func(c *autopart.Compiled) (*exec.Program, error) {
+			return miniaero.Executable(miniaero.DefaultConfig(), c, 8)
+		}},
+	}
+	for _, a := range apps {
+		c, err := autopart.Compile(a.src, autopart.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := a.build(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(a.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				for _, t := range prog.Plan.Tasks {
+					if _, err := rewrite.RunShard(prog.Machine, prog.Parts, t.Loop, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -83,7 +83,7 @@ func newRun[V float64 | int64](at *layout) *Run[V] {
 
 // Get returns the value held at idx, and false if there is none.
 func (r *Run[V]) Get(idx int64) (V, bool) {
-	if p := r.at.pos(idx); p >= 0 && r.bits[p>>6]&(1<<(p&63)) != 0 {
+	if p := r.at.pos(idx); p >= 0 && r.has(p) {
 		return r.vals[p], true
 	}
 	var zero V
@@ -91,8 +91,13 @@ func (r *Run[V]) Get(idx int64) (V, bool) {
 }
 
 // put stores v at idx, which must lie in the run's domain.
-func (r *Run[V]) put(idx int64, v V) {
-	p := r.at.pos(idx)
+func (r *Run[V]) put(idx int64, v V) { r.set(r.at.pos(idx), v) }
+
+// has reports whether position p holds a value.
+func (r *Run[V]) has(p int64) bool { return r.bits[p>>6]&(1<<(p&63)) != 0 }
+
+// set stores v at position p.
+func (r *Run[V]) set(p int64, v V) {
 	r.vals[p] = v
 	r.bits[p>>6] |= 1 << (p & 63)
 }
@@ -320,9 +325,15 @@ func (f *Fold) Apply(r *region.Region, field string) {
 // shards may run against the same machine (a launch-entry snapshot, or a
 // distributed node's region windows made current by a ghost exchange).
 //
-// The body is resolved once per call (names to frame slots, fields to
-// backing slices, accesses to this color's subregions): a malformed body
-// fails before any iteration runs, value-dependent errors where they occur.
+// The body is compiled once per call into one closure per statement and
+// per expression, each specialised on what resolving fixes: names become
+// slots of a typed frame, fields their backing slices, accesses this
+// color's subregions, stores their §5 plan and operator, opaque calls
+// their seeds. A malformed body fails before any iteration runs,
+// value-dependent errors where they occur. An access indexed by the loop
+// variable, which no statement rebinds, is checked once for the whole
+// shard when the iteration subregion lies inside the access's subregion;
+// every other access is checked per element.
 func RunShard(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoop, color int) (*ShardResult, error) {
 	iter, ok := parts[pl.IterSym]
 	if !ok {
@@ -335,41 +346,56 @@ func RunShard(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoo
 			Reductions: map[FieldKey]*ReduceBuffer{},
 		}}
 	loopVar := s.slot(pl.Loop.Var)
-	body, err := s.resolve(pl.Loop.Stmts)
+	body, err := s.compile(pl.Loop.Stmts)
 	if err != nil {
 		return nil, fmt.Errorf("task %d: %w", color, err)
 	}
-	s.vals, s.bound = make([]ir.Value, len(s.names)), make([]bool, len(s.names))
-	var taskErr error
-	iter.Sub(color).Each(func(k int64) bool {
-		clear(s.bound)
-		s.set(loopVar, ir.IndexValue(k))
-		if err := s.run(body); err != nil {
-			taskErr = fmt.Errorf("task %d, iteration %d: %w", color, k, err)
-			return false
+	sub := iter.Sub(color)
+	if !s.rebinds {
+		for _, a := range s.accs {
+			a.hoisted = a.slot == loopVar && sub.SubsetOf(a.sub)
 		}
-		return true
-	})
-	if taskErr != nil {
-		return nil, taskErr
+	}
+	n := len(s.names)
+	s.state, s.f, s.i = make([]uint8, n), make([]float64, n), make([]int64, n)
+	for _, iv := range sub.Intervals() {
+		for k := iv.Lo; k < iv.Hi; k++ {
+			clear(s.state)
+			s.state[loopVar], s.i[loopVar] = indexSlot, k
+			if err := run(body); err != nil {
+				return nil, fmt.Errorf("task %d, iteration %d: %w", color, k, err)
+			}
+		}
 	}
 	return s.res, nil
 }
 
-// shard is one RunShard call: what the body is resolved against, the
-// variable frame (one slot per name, cleared each iteration) and the
+// The states of a frame slot. A scalar slot holds its value in f, an
+// index slot in i.
+const (
+	unbound uint8 = iota
+	scalarSlot
+	indexSlot
+	invalidSlot // an index a partial function has no value for
+)
+
+// shard is one RunShard call: what the body is compiled against, the
+// typed frame (one slot per name, unbound again each iteration) and the
 // result the task's writes build.
 type shard struct {
-	m      *ir.Machine
-	parts  map[string]*region.Partition
-	pl     *ParallelLoop
-	color  int
-	slots  map[string]int
-	names  []string // slot → name
-	fields map[FieldKey]*field
-	vals   []ir.Value
-	bound  []bool
-	res    *ShardResult
+	m       *ir.Machine
+	parts   map[string]*region.Partition
+	pl      *ParallelLoop
+	color   int
+	slots   map[string]int
+	names   []string // slot → name
+	rebinds bool     // a statement binds the loop variable
+	fields  map[FieldKey]*field
+	accs    []*access
+	state   []uint8
+	f       []float64
+	i       []int64
+	res     *ShardResult
 }
 
 func (s *shard) slot(name string) int {
@@ -382,22 +408,43 @@ func (s *shard) slot(name string) int {
 	return i
 }
 
-func (s *shard) set(slot int, v ir.Value) {
-	s.vals[slot] = v
-	s.bound[slot] = true
+// dest returns the slot of a variable a statement binds.
+func (s *shard) dest(name string) int {
+	if name == s.pl.Loop.Var {
+		s.rebinds = true
+	}
+	return s.slot(name)
 }
 
-func (s *shard) index(slot int) (int64, error) {
-	v := s.vals[slot]
-	switch {
-	case !s.bound[slot]:
-		return 0, fmt.Errorf("unbound variable %q", s.names[slot])
-	case !v.IsIndex:
-		return 0, fmt.Errorf("variable %q is not an index", s.names[slot])
-	case !v.Valid:
-		return 0, fmt.Errorf("variable %q holds an invalid index", s.names[slot])
+// index returns the index slot holds, and st's error if it holds none.
+func (s *shard) index(st ir.Stmt, slot int) (int64, error) {
+	if s.state[slot] == indexSlot {
+		return s.i[slot], nil
 	}
-	return v.I, nil
+	return 0, s.notIndex(st, slot)
+}
+
+func (s *shard) notIndex(st ir.Stmt, slot int) error {
+	name := s.names[slot]
+	switch s.state[slot] {
+	case unbound:
+		return fmt.Errorf("%s: unbound variable %q", st, name)
+	case scalarSlot:
+		return fmt.Errorf("%s: variable %q is not an index", st, name)
+	}
+	return fmt.Errorf("%s: variable %q holds an invalid index", st, name)
+}
+
+// coerce reads a slot that holds no scalar in arithmetic: an index reads
+// as its number, an invalid index as 0.
+func (s *shard) coerce(slot int) (float64, error) {
+	switch s.state[slot] {
+	case indexSlot:
+		return float64(s.i[slot]), nil
+	case invalidSlot:
+		return 0, nil
+	}
+	return 0, fmt.Errorf("unbound variable %q", s.names[slot])
 }
 
 // field is one region field the body names, shared by every statement
@@ -450,19 +497,29 @@ func (s *shard) field(st ir.Stmt, regionName, name string) (*field, error) {
 
 // Reads hit the task's own writes first, then the machine's data.
 func (f *field) scalar(idx int64) float64 {
-	if f.wScalar != nil {
-		if v, ok := f.wScalar.Get(idx); ok {
-			return v
-		}
+	if f.wScalar == nil {
+		return f.scalars[idx-f.base]
+	}
+	return f.writtenScalar(idx)
+}
+
+func (f *field) writtenScalar(idx int64) float64 {
+	if v, ok := f.wScalar.Get(idx); ok {
+		return v
 	}
 	return f.scalars[idx-f.base]
 }
 
 func (f *field) index(idx int64) int64 {
-	if f.wIndex != nil {
-		if v, ok := f.wIndex.Get(idx); ok {
-			return v
-		}
+	if f.wIndex == nil {
+		return f.indexes[idx-f.base]
+	}
+	return f.writtenIndex(idx)
+}
+
+func (f *field) writtenIndex(idx int64) int64 {
+	if v, ok := f.wIndex.Get(idx); ok {
+		return v
 	}
 	return f.indexes[idx-f.base]
 }
@@ -475,20 +532,87 @@ func (f *field) layout() *layout {
 	return f.at
 }
 
-func (s *shard) writeScalar(f *field, idx int64, v float64) {
+// The runs of f's private writes and reduction buffer, made on first use.
+func (s *shard) scalarRun(f *field) *Run[float64] {
 	if f.wScalar == nil {
 		f.wScalar = newRun[float64](f.layout())
 		s.res.Scalars[f.key] = f.wScalar
 	}
-	f.wScalar.put(idx, v)
+	return f.wScalar
+}
+
+func (s *shard) indexRun(f *field) *Run[int64] {
+	if f.wIndex == nil {
+		f.wIndex = newRun[int64](f.layout())
+		s.res.Indexes[f.key] = f.wIndex
+	}
+	return f.wIndex
+}
+
+func (s *shard) reduceBuffer(f *field, op lang.ReduceOp) *ReduceBuffer {
+	if f.buf == nil {
+		f.buf = &ReduceBuffer{Op: string(op), Run: *newRun[float64](f.layout())}
+		s.res.Reductions[f.key] = f.buf
+	}
+	return f.buf
+}
+
+// update folds v into the task's value of f at idx under op. idx lies in
+// the run's domain, and its position serves both the read and the write.
+func (s *shard) update(f *field, op byte, idx int64, v float64) {
+	w := f.wScalar
+	if w == nil {
+		w = s.scalarRun(f)
+	}
+	p := w.at.pos(idx)
+	old := f.scalars[idx-f.base]
+	if w.has(p) {
+		old = w.vals[p]
+	}
+	w.set(p, reduce(op, old, v))
+}
+
+// The reduction operators as byte codes.
+const (
+	opSet byte = iota
+	opAdd
+	opMul
+	opMax
+	opMin
+)
+
+var reduceOps = map[lang.ReduceOp]byte{lang.OpSet: opSet, lang.OpAdd: opAdd, lang.OpMul: opMul, lang.OpMax: opMax, lang.OpMin: opMin}
+
+// reduce is ir.ApplyReduce over byte codes.
+func reduce(op byte, old, v float64) float64 {
+	switch op {
+	case opAdd:
+		return old + v
+	case opMul:
+		return old * v
+	case opMax:
+		if v > old {
+			return v
+		}
+		return old
+	case opMin:
+		if v < old {
+			return v
+		}
+		return old
+	}
+	return v
 }
 
 // access is a statement's execution plan with this color's subregion of
-// its partition, and the interval of it the access last hit.
+// its partition, the slot of its index, whether its check is hoisted out
+// of the iterations, and the interval of the subregion it last hit.
 type access struct {
 	*AccessInfo
-	sub  geometry.IndexSet
-	last geometry.Interval
+	sub     geometry.IndexSet
+	slot    int
+	hoisted bool
+	last    geometry.Interval
 }
 
 // contains reports whether idx lies in the access's subregion, trying
@@ -506,370 +630,429 @@ func (a *access) seek(idx int64) bool {
 	return ok
 }
 
-func (s *shard) access(st ir.Stmt) (access, error) {
+func (s *shard) access(st ir.Stmt, slot int) (*access, error) {
 	info := s.pl.Access[st]
 	if info == nil {
-		return access{}, fmt.Errorf("%s: no access plan", st)
+		return nil, fmt.Errorf("%s: no access plan", st)
 	}
 	p, ok := s.parts[info.Sym]
 	if !ok {
-		return access{}, fmt.Errorf("%s: unbound partition %q", st, info.Sym)
+		return nil, fmt.Errorf("%s: unbound partition %q", st, info.Sym)
 	}
-	return access{AccessInfo: info, sub: p.Sub(s.color)}, nil
+	a := &access{AccessInfo: info, sub: p.Sub(s.color), slot: slot}
+	s.accs = append(s.accs, a)
+	return a, nil
 }
 
 // check is the containment check of an access index against the task's
 // subregion.
 func (s *shard) check(a *access, idx int64) error {
-	if a.contains(idx) {
+	if a.hoisted || idx >= a.last.Lo && idx < a.last.Hi {
+		return nil
+	}
+	return s.checkRest(a, idx)
+}
+
+// checkRest is check past the interval the access last hit: a binary
+// search, then the escape error.
+func (s *shard) checkRest(a *access, idx int64) error {
+	if a.seek(idx) {
 		return nil
 	}
 	return fmt.Errorf("access %s[%d].%s escapes subregion %s[%d] — unsound partitioning",
 		a.Region, idx, a.Field, a.Sym, s.color)
 }
 
-// step is one resolved statement; which fields are set depends on the
-// type of src.
-type step struct {
-	src   ir.Stmt
-	acc   access // Load, Store, Inner
-	f     *field // Load, Store; Inner's range field
-	idx   int    // the slot of Idx, Arg or Src
-	dst   int    // the slot of Var
-	x, y  *expr  // Rhs, or IfCmp's L and R
-	op    string // Store, with the op's identity in ident
-	ident float64
-	fn    geometry.IndexMap // Apply
-	in    func(int64) bool  // IfIn: membership in Space, nil if unknown
-	body  []step            // Inner's body, or the Then branch
-	els   []step
+// at returns the index in a's slot, checked against a's subregion.
+func (s *shard) at(st ir.Stmt, a *access) (int64, error) {
+	k, err := s.index(st, a.slot)
+	if err != nil {
+		return 0, err
+	}
+	return k, s.check(a, k)
 }
 
-func (s *shard) resolve(stmts []ir.Stmt) ([]step, error) {
+// operands returns a store's index and value, evaluated in that order,
+// and st's error for the first that fails. The index of a store that is
+// not guarded must pass its containment check too.
+func (s *shard) operands(st ir.Stmt, a *access, x expr) (int64, float64, error) {
+	k, err := s.index(st, a.slot)
+	if err != nil {
+		return 0, 0, err
+	}
+	v, err := x()
+	if err != nil {
+		return 0, 0, fmt.Errorf("%s: %w", st, err)
+	}
+	if !a.Guarded {
+		err = s.check(a, k)
+	}
+	return k, v, err
+}
+
+// step is one compiled statement, expr one compiled scalar expression.
+type (
+	step func() error
+	expr func() (float64, error)
+)
+
+func run(body []step) error {
+	for _, st := range body {
+		if err := st(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *shard) compile(stmts []ir.Stmt) ([]step, error) {
 	out := make([]step, len(stmts))
 	for i, st := range stmts {
-		if err := s.resolveStep(&out[i], st); err != nil {
+		var err error
+		if out[i], err = s.compileStmt(st); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func (s *shard) resolveStep(n *step, src ir.Stmt) (err error) {
-	n.src = src
-	var then, els []ir.Stmt
+func (s *shard) compileStmt(src ir.Stmt) (step, error) {
 	switch st := src.(type) {
 	case *ir.Load:
-		n.idx, n.dst = s.slot(st.Idx), s.slot(st.Var)
-		if n.f, err = s.field(st, st.Region, st.Field); err != nil {
-			return err
-		}
-		if n.f.kind == region.RangeField {
-			return fmt.Errorf("%s: cannot load range field", st)
-		}
-		n.acc, err = s.access(st)
+		return s.load(st)
 	case *ir.Store:
-		n.idx, n.x, n.op = s.slot(st.Idx), s.expr(st.Rhs), string(st.Op)
-		if n.f, err = s.field(st, st.Region, st.Field); err != nil {
-			return err
-		}
-		if n.acc, err = s.access(st); err != nil {
-			return err
-		}
-		if n.f.kind == region.RangeField || (n.acc.Guarded || n.acc.Buffered) && n.f.kind != region.ScalarField {
-			return fmt.Errorf("%s: cannot store to %s field %s", st, n.f.kind, st.Field)
-		}
-		n.f.stores = append(n.f.stores, n.acc.sub)
-		switch st.Op {
-		case lang.OpSet:
-			if n.acc.Buffered {
-				return fmt.Errorf("%s: reduction operator %q has no identity", st, st.Op)
-			}
-		case lang.OpAdd, lang.OpMul, lang.OpMax, lang.OpMin:
-			n.ident = ir.ReduceIdentity(n.op)
-		default:
-			return fmt.Errorf("%s: unknown reduction operator %q", st, st.Op)
-		}
+		return s.store(st)
 	case *ir.LetScalar:
-		n.dst, n.x = s.slot(st.Var), s.expr(st.Rhs)
+		dst, x := s.dest(st.Var), s.expr(st.Rhs)
+		return func() error {
+			v, err := x()
+			if err != nil {
+				return fmt.Errorf("%s: %w", st, err)
+			}
+			s.state[dst], s.f[dst] = scalarSlot, v
+			return nil
+		}, nil
 	case *ir.Apply:
-		n.idx, n.dst, n.fn = s.slot(st.Arg), s.slot(st.Var), s.m.Funcs[st.Func]
+		arg, dst, fn := s.slot(st.Arg), s.dest(st.Var), s.m.Funcs[st.Func]
+		if fn == nil {
+			return func() error { return fmt.Errorf("%s: unknown index function", st) }, nil
+		}
+		return func() error {
+			k, err := s.index(st, arg)
+			if err != nil {
+				return err
+			}
+			if v, ok := fn.Apply(k); ok {
+				s.state[dst], s.i[dst] = indexSlot, v
+			} else {
+				s.state[dst] = invalidSlot
+			}
+			return nil
+		}, nil
 	case *ir.Alias:
-		n.idx, n.dst = s.slot(st.Src), s.slot(st.Var)
+		src, dst := s.slot(st.Src), s.dest(st.Var)
+		return func() error {
+			if s.state[src] == unbound {
+				return fmt.Errorf("%s: unbound source", st)
+			}
+			s.state[dst], s.f[dst], s.i[dst] = s.state[src], s.f[src], s.i[src]
+			return nil
+		}, nil
 	case *ir.Inner:
-		n.idx, n.dst = s.slot(st.Idx), s.slot(st.Var)
-		if n.f, err = s.field(st, st.RangeRegion, st.RangeField); err != nil {
-			return err
-		}
-		if n.f.kind != region.RangeField {
-			return fmt.Errorf("%s: %s is a %s field, not a range field", st, st.RangeField, n.f.kind)
-		}
-		n.acc, err = s.access(st)
-		then = st.Body
+		return s.inner(st)
 	case *ir.IfIn:
-		n.idx = s.slot(st.Idx)
-		if reg, ok := s.m.Regions[st.Space]; ok {
-			size := reg.Size()
-			n.in = func(i int64) bool { return i >= 0 && i < size }
-		} else if p, ok := s.m.Partitions[st.Space]; ok {
-			n.in = p.UnionAll().Contains
-		}
-		then, els = st.Then, st.Else
+		return s.ifIn(st)
 	case *ir.IfCmp:
-		n.x, n.y = s.expr(st.L), s.expr(st.R)
-		then, els = st.Then, st.Else
-	default:
-		return fmt.Errorf("unknown statement %T", src)
+		return s.ifCmp(st)
 	}
-	if err == nil {
-		n.body, err = s.resolve(then)
-	}
-	if err == nil {
-		n.els, err = s.resolve(els)
-	}
-	return err
+	return nil, fmt.Errorf("unknown statement %T", src)
 }
 
-func (s *shard) run(body []step) error {
-	for i := range body {
-		if err := s.step(&body[i]); err != nil {
-			return err
-		}
+func (s *shard) load(st *ir.Load) (step, error) {
+	idx, dst := s.slot(st.Idx), s.dest(st.Var)
+	f, err := s.field(st, st.Region, st.Field)
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-func (s *shard) step(n *step) error {
-	switch st := n.src.(type) {
-	case *ir.Load:
-		k, err := s.index(n.idx)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		if err := s.check(&n.acc, k); err != nil {
-			return err
-		}
-		if n.f.kind == region.ScalarField {
-			s.set(n.dst, ir.ScalarValue(n.f.scalar(k)))
+	if f.kind == region.RangeField {
+		return nil, fmt.Errorf("%s: cannot load range field", st)
+	}
+	a, err := s.access(st, idx)
+	if err != nil {
+		return nil, err
+	}
+	if f.kind == region.ScalarField {
+		return func() error {
+			k, err := s.at(st, a)
+			if err != nil {
+				return err
+			}
+			s.state[dst], s.f[dst] = scalarSlot, f.scalar(k)
 			return nil
+		}, nil
+	}
+	return func() error {
+		k, err := s.at(st, a)
+		if err != nil {
+			return err
 		}
-		if v := n.f.index(k); v < 0 {
-			s.set(n.dst, ir.InvalidIndex())
+		if v := f.index(k); v < 0 {
+			s.state[dst] = invalidSlot
 		} else {
-			s.set(n.dst, ir.IndexValue(v))
+			s.state[dst], s.i[dst] = indexSlot, v
 		}
-
-	case *ir.Store:
-		k, err := s.index(n.idx)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		rhs, err := s.eval(n.x)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		f := n.f
-		if n.acc.Guarded {
-			// §5.1: apply only when this task owns the target; the
-			// disjoint complete target partition guarantees exactly-once
-			// across the launch.
-			if n.acc.contains(k) {
-				s.writeScalar(f, k, ir.ApplyReduce(n.op, f.scalar(k), rhs))
-			}
-			return nil
-		}
-		if err := s.check(&n.acc, k); err != nil {
-			return err
-		}
-		if n.acc.Buffered {
-			if f.buf == nil {
-				f.buf = &ReduceBuffer{Op: n.op, Run: *newRun[float64](f.layout())}
-				s.res.Reductions[f.key] = f.buf
-			}
-			old, seen := f.buf.Get(k)
-			if !seen {
-				old = n.ident
-			}
-			f.buf.put(k, ir.ApplyReduce(n.op, old, rhs))
-			return nil
-		}
-		// Plain store or centered reduction: task-private read-modify-
-		// write. Pointer fields take the raw value.
-		if f.kind == region.IndexField {
-			if f.wIndex == nil {
-				f.wIndex = newRun[int64](f.layout())
-				s.res.Indexes[f.key] = f.wIndex
-			}
-			f.wIndex.put(k, int64(rhs))
-			return nil
-		}
-		s.writeScalar(f, k, ir.ApplyReduce(n.op, f.scalar(k), rhs))
 		return nil
+	}, nil
+}
 
-	case *ir.LetScalar:
-		v, err := s.eval(n.x)
+func (s *shard) store(st *ir.Store) (step, error) {
+	idx, x := s.slot(st.Idx), s.expr(st.Rhs)
+	f, err := s.field(st, st.Region, st.Field)
+	if err != nil {
+		return nil, err
+	}
+	a, err := s.access(st, idx)
+	if err != nil {
+		return nil, err
+	}
+	if f.kind == region.RangeField || (a.Guarded || a.Buffered) && f.kind != region.ScalarField {
+		return nil, fmt.Errorf("%s: cannot store to %s field %s", st, f.kind, st.Field)
+	}
+	f.stores = append(f.stores, a.sub)
+	op, ok := reduceOps[st.Op]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%s: unknown reduction operator %q", st, st.Op)
+	case op == opSet && a.Buffered:
+		return nil, fmt.Errorf("%s: reduction operator %q has no identity", st, st.Op)
+	}
+	switch {
+	case a.Guarded:
+		// §5.1: apply only when this task owns the target; the disjoint
+		// complete target partition guarantees exactly-once across the
+		// launch.
+		return func() error {
+			k, v, err := s.operands(st, a, x)
+			if err == nil && (a.hoisted || a.contains(k)) {
+				s.update(f, op, k, v)
+			}
+			return err
+		}, nil
+	case a.Buffered:
+		ident := ir.ReduceIdentity(string(st.Op))
+		return func() error {
+			k, v, err := s.operands(st, a, x)
+			if err != nil {
+				return err
+			}
+			b := s.reduceBuffer(f, st.Op)
+			p, old := b.at.pos(k), ident
+			if b.has(p) {
+				old = b.vals[p]
+			}
+			b.set(p, reduce(op, old, v))
+			return nil
+		}, nil
+	case f.kind == region.IndexField:
+		// A plain store to a pointer field takes the raw value.
+		return func() error {
+			k, v, err := s.operands(st, a, x)
+			if err == nil {
+				s.indexRun(f).put(k, int64(v))
+			}
+			return err
+		}, nil
+	case op == opSet:
+		return func() error {
+			k, v, err := s.operands(st, a, x)
+			if err == nil {
+				s.scalarRun(f).put(k, v)
+			}
+			return err
+		}, nil
+	}
+	// A centered reduction: task-private read-modify-write.
+	return func() error {
+		k, v, err := s.operands(st, a, x)
+		if err == nil {
+			s.update(f, op, k, v)
+		}
+		return err
+	}, nil
+}
+
+func (s *shard) inner(st *ir.Inner) (step, error) {
+	idx, dst := s.slot(st.Idx), s.dest(st.Var)
+	f, err := s.field(st, st.RangeRegion, st.RangeField)
+	if err != nil {
+		return nil, err
+	}
+	if f.kind != region.RangeField {
+		return nil, fmt.Errorf("%s: %s is a %s field, not a range field", st, st.RangeField, f.kind)
+	}
+	a, err := s.access(st, idx)
+	if err != nil {
+		return nil, err
+	}
+	body, err := s.compile(st.Body)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		k, err := s.at(st, a)
 		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		s.set(n.dst, ir.ScalarValue(v))
-
-	case *ir.Apply:
-		if n.fn == nil {
-			return fmt.Errorf("%s: unknown index function", st)
-		}
-		arg, err := s.index(n.idx)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		if v, ok := n.fn.Apply(arg); ok {
-			s.set(n.dst, ir.IndexValue(v))
-		} else {
-			s.set(n.dst, ir.InvalidIndex())
-		}
-
-	case *ir.Alias:
-		if !s.bound[n.idx] {
-			return fmt.Errorf("%s: unbound source", st)
-		}
-		s.set(n.dst, s.vals[n.idx])
-
-	case *ir.Inner:
-		k, err := s.index(n.idx)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st, err)
-		}
-		if err := s.check(&n.acc, k); err != nil {
 			return err
 		}
-		iv := n.f.ranges[k-n.f.base]
+		iv := f.ranges[k-f.base]
 		for j := iv.Lo; j < iv.Hi; j++ {
-			s.set(n.dst, ir.IndexValue(j))
-			if err := s.run(n.body); err != nil {
+			s.state[dst], s.i[dst] = indexSlot, j
+			if err := run(body); err != nil {
 				return err
 			}
 		}
+		return nil
+	}, nil
+}
 
-	case *ir.IfIn:
-		if !s.bound[n.idx] {
-			return fmt.Errorf("%s: unbound index", st)
-		}
-		v := s.vals[n.idx]
-		in := false
-		if v.Valid {
-			if n.in == nil {
-				return fmt.Errorf("%s: unknown space", st)
-			}
-			in = n.in(v.I)
-		}
-		if in {
-			return s.run(n.body)
-		}
-		return s.run(n.els)
-
-	case *ir.IfCmp:
-		l, err := s.eval(n.x)
-		if err != nil {
-			return err
-		}
-		r, err := s.eval(n.y)
-		if err != nil {
-			return err
-		}
-		if st.Op != "==" && st.Op != "!=" {
-			return fmt.Errorf("%s: unknown comparison", st)
-		}
-		if (l == r) == (st.Op == "==") {
-			return s.run(n.body)
-		}
-		return s.run(n.els)
+// branches compiles the two branches of an if statement.
+func (s *shard) branches(then, els []ir.Stmt) ([]step, []step, error) {
+	t, err := s.compile(then)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil
+	e, err := s.compile(els)
+	return t, e, err
 }
 
-// expr is a resolved scalar expression. op is a BinExpr operator's byte
-// ('+', '-', '*', '/') or one of the kinds below.
-type expr struct {
-	op   byte
-	c    float64
-	slot int
-	name string // variable or function name, unknown operator or type
-	l, r *expr
-	args []*expr
+func (s *shard) ifIn(st *ir.IfIn) (step, error) {
+	idx := s.slot(st.Idx)
+	// Membership in Space: a region is [0, size), a partition its
+	// union; in is nil if Space is unknown.
+	var in func(int64) bool
+	size := int64(-1)
+	if reg, ok := s.m.Regions[st.Space]; ok {
+		size = reg.Size()
+	} else if p, ok := s.m.Partitions[st.Space]; ok {
+		in = p.UnionAll().Contains
+	}
+	then, els, err := s.branches(st.Then, st.Else)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		var k int64 // a scalar tests 0
+		switch s.state[idx] {
+		case unbound:
+			return fmt.Errorf("%s: unbound index", st)
+		case invalidSlot:
+			return run(els)
+		case indexSlot:
+			k = s.i[idx]
+		}
+		switch {
+		case size >= 0:
+			if k >= 0 && k < size {
+				return run(then)
+			}
+		case in == nil:
+			return fmt.Errorf("%s: unknown space", st)
+		case in(k):
+			return run(then)
+		}
+		return run(els)
+	}, nil
 }
 
-const (
-	exprConst byte = iota
-	exprVar
-	exprCall
-	exprBadOp   // a BinExpr whose operator name holds
-	exprUnknown // an expression of the type name holds
-)
+func (s *shard) ifCmp(st *ir.IfCmp) (step, error) {
+	x, y := s.expr(st.L), s.expr(st.R)
+	then, els, err := s.branches(st.Then, st.Else)
+	if err != nil {
+		return nil, err
+	}
+	if st.Op != "==" && st.Op != "!=" {
+		return func() error {
+			if _, _, err := both(x, y); err != nil {
+				return err
+			}
+			return fmt.Errorf("%s: unknown comparison", st)
+		}, nil
+	}
+	eq := st.Op == "=="
+	return func() error {
+		l, r, err := both(x, y)
+		if err != nil {
+			return err
+		}
+		if (l == r) == eq {
+			return run(then)
+		}
+		return run(els)
+	}, nil
+}
 
-func (s *shard) expr(e ir.ScalarExpr) *expr {
+// both evaluates x, then y.
+func both(x, y expr) (float64, float64, error) {
+	l, err := x()
+	if err != nil {
+		return 0, 0, err
+	}
+	r, err := y()
+	return l, r, err
+}
+
+func (s *shard) expr(e ir.ScalarExpr) expr {
 	switch x := e.(type) {
 	case ir.Const:
-		return &expr{op: exprConst, c: x.V}
+		return func() (float64, error) { return x.V, nil }
 	case ir.VarExpr:
-		return &expr{op: exprVar, slot: s.slot(x.Name), name: x.Name}
+		slot := s.slot(x.Name)
+		return func() (float64, error) {
+			if s.state[slot] == scalarSlot {
+				return s.f[slot], nil
+			}
+			return s.coerce(slot)
+		}
 	case ir.CallExpr:
-		out := &expr{op: exprCall, name: x.Func, args: make([]*expr, len(x.Args))}
+		seed, args := ir.OpaqueSeed(x.Func), make([]expr, len(x.Args))
 		for i, a := range x.Args {
-			out.args[i] = s.expr(a)
+			args[i] = s.expr(a)
 		}
-		return out
+		return func() (float64, error) {
+			acc := seed
+			for i, a := range args {
+				v, err := a()
+				if err != nil {
+					return 0, err
+				}
+				acc = ir.OpaqueMix(acc, i, v)
+			}
+			return ir.OpaqueValue(acc), nil
+		}
 	case ir.BinExpr:
-		out := &expr{op: exprBadOp, name: x.Op, l: s.expr(x.L), r: s.expr(x.R)}
+		l, r := s.expr(x.L), s.expr(x.R)
 		switch x.Op {
-		case "+", "-", "*", "/":
-			out.op = x.Op[0]
+		case "+":
+			return func() (float64, error) { a, b, err := both(l, r); return a + b, err }
+		case "-":
+			return func() (float64, error) { a, b, err := both(l, r); return a - b, err }
+		case "*":
+			return func() (float64, error) { a, b, err := both(l, r); return a * b, err }
+		case "/":
+			return func() (float64, error) {
+				a, b, err := both(l, r)
+				if b == 0 {
+					return 0, err
+				}
+				return a / b, err
+			}
 		}
-		return out
-	}
-	return &expr{op: exprUnknown, name: fmt.Sprintf("%T", e)}
-}
-
-func (s *shard) eval(e *expr) (float64, error) {
-	switch e.op {
-	case exprConst:
-		return e.c, nil
-	case exprVar:
-		if !s.bound[e.slot] {
-			return 0, fmt.Errorf("unbound variable %q", e.name)
-		}
-		return s.vals[e.slot].AsScalar(), nil
-	case exprCall:
-		args := make([]float64, 0, 8) // on the stack unless a call has more
-		for _, a := range e.args {
-			v, err := s.eval(a)
-			if err != nil {
+		return func() (float64, error) {
+			if _, _, err := both(l, r); err != nil {
 				return 0, err
 			}
-			args = append(args, v)
+			return 0, fmt.Errorf("unknown operator %q", x.Op)
 		}
-		return ir.OpaqueFn(e.name, args), nil
-	case exprUnknown:
-		return 0, fmt.Errorf("unknown scalar expression %s", e.name)
 	}
-	l, err := s.eval(e.l)
-	if err != nil {
-		return 0, err
-	}
-	r, err := s.eval(e.r)
-	if err != nil {
-		return 0, err
-	}
-	switch e.op {
-	case '+':
-		return l + r, nil
-	case '-':
-		return l - r, nil
-	case '*':
-		return l * r, nil
-	case '/':
-		if r == 0 {
-			return 0, nil
-		}
-		return l / r, nil
-	}
-	return 0, fmt.Errorf("unknown operator %q", e.name)
+	name := fmt.Sprintf("%T", e)
+	return func() (float64, error) { return 0, fmt.Errorf("unknown scalar expression %s", name) }
 }

@@ -335,8 +335,9 @@ func (m Model) planRemote(n int, get func(j int) geometry.IndexSet, owner *regio
 			bytes: float64(remote.Len()) * m.BytesPerElem,
 			frags: remote.NumIntervals(),
 		}
-		// The executor plans its actual messages from the same split, so
-		// predicted pieces and shipped pieces agree pair by pair.
+		// The executor derives its messages independently of this split;
+		// TestCommMatchesSim holds predicted and shipped pieces equal pair
+		// by pair.
 		for _, pc := range region.SplitByOwner(remote, owner) {
 			pl.pieces = append(pl.pieces, piece{
 				k:     pc.Color,
