@@ -235,7 +235,7 @@ func RunNode(prog *Program, cfg Config, id int, tr Transport) (*NodeResult, erro
 		cfg:   cfg,
 		prog:  prog,
 		tr:    tr,
-		mb:    newMailbox(),
+		mb:    newMailbox(cfg.Nodes),
 		stats: make([][]sim.NodeStats, cfg.Steps),
 		times: make([][]NodeTiming, cfg.Steps),
 	}

@@ -274,6 +274,25 @@ func TestCommMatchesSim(t *testing.T) {
 	}
 }
 
+// TestScheduleMatchesAllPairs holds every node's schedule to the
+// all-pairs derivation it shortcuts: on every builtin of
+// TestCommMatchesSim at 3 and 8 nodes, each node's transfer lists and
+// statistics for every launch of two steps must be exactly those of
+// trying every peer against every owner.
+func TestScheduleMatchesAllPairs(t *testing.T) {
+	for _, app := range appCases(t) {
+		for _, nodes := range []int{3, 8} {
+			prog, err := app.build(nodes)
+			if err != nil {
+				t.Fatalf("%s: build: %v", app.name, err)
+			}
+			if err := exec.CheckScheduleOracle(prog, exec.Config{Nodes: nodes, Steps: 2}); err != nil {
+				t.Errorf("%s nodes=%d: %v", app.name, nodes, err)
+			}
+		}
+	}
+}
+
 // checkSends compares each node's charged per-launch MsgsOut and
 // BytesOut with what it handed the transport.
 func checkSends(t *testing.T, res *exec.Result, sent []exec.SentMsg, bpe float64) {

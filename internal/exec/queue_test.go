@@ -117,3 +117,50 @@ func TestQueueNoGoroutineLeak(t *testing.T) {
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after drain", before, runtime.NumGoroutine())
 }
+
+// TestMailboxTakeFailsOnDeadPeer blocks a take on a message from peer 3
+// of 8 and then reports one end of stream: peer 3's own, an
+// unattributable one (-1) or one from an id outside the node range
+// fails the take with peer 3 named; peer 5's leaves it blocked until
+// the message lands.
+func TestMailboxTakeFailsOnDeadPeer(t *testing.T) {
+	k := tagKey{kind: ghostMsg, step: 1, launch: 2, req: 0, region: "R", field: "f", from: 3}
+	for _, c := range []struct {
+		dead  int
+		fails bool
+	}{{3, true}, {-1, true}, {8, true}, {5, false}} {
+		mb := newMailbox(8)
+		done := make(chan error, 1)
+		go func() {
+			_, err := mb.take(k)
+			done <- err
+		}()
+		for blocked := false; !blocked; {
+			mb.mu.Lock()
+			blocked = mb.waiters == 1
+			mb.mu.Unlock()
+			time.Sleep(time.Millisecond)
+		}
+		mb.peerDead(c.dead)
+		if !c.fails {
+			select {
+			case err := <-done:
+				t.Fatalf("peerDead(%d): take of %s returned %v, want it still blocked", c.dead, k, err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			mb.put(message{kind: k.kind, step: k.step, launch: k.launch, req: k.req, region: k.region, field: k.field, from: k.from})
+		}
+		select {
+		case err := <-done:
+			want := "peer 3 exited before sending " + k.String()
+			if c.fails && (err == nil || err.Error() != want) {
+				t.Errorf("peerDead(%d): take error %v, want %q", c.dead, err, want)
+			}
+			if !c.fails && err != nil {
+				t.Errorf("peerDead(%d): take error %v after the message landed", c.dead, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("peerDead(%d): take of %s still blocked", c.dead, k)
+		}
+	}
+}

@@ -66,24 +66,29 @@ type arrival struct {
 type mailbox struct {
 	mu      sync.Mutex
 	arrived map[tagKey]arrival
-	wake    chan struct{} // broadcast: closed and replaced on every event
-	dead    map[int]bool  // peers that closed their send side
+	wake    chan struct{} // closed and replaced on an event while a take waits
+	waiters int           // takes blocked on wake
+	dead    []bool        // by sender id: peers that closed their send side
 	anyDead bool          // an unattributable peer death (transport failure)
 	closed  bool          // all peers done; nothing more will arrive
 	err     error         // first protocol violation (e.g. duplicate tag)
 }
 
-func newMailbox() *mailbox {
+func newMailbox(nodes int) *mailbox {
 	return &mailbox{
 		arrived: map[tagKey]arrival{},
 		wake:    make(chan struct{}),
-		dead:    map[int]bool{},
+		dead:    make([]bool, nodes),
 	}
 }
 
+// broadcastLocked wakes every blocked take. With none blocked there is
+// nobody to wake: the next take checks the state under mu first.
 func (mb *mailbox) broadcastLocked() {
-	close(mb.wake)
-	mb.wake = make(chan struct{})
+	if mb.waiters > 0 {
+		close(mb.wake)
+		mb.wake = make(chan struct{})
+	}
 }
 
 // put records a delivery. A duplicate tag means a peer violated the
@@ -103,10 +108,12 @@ func (mb *mailbox) put(m message) {
 	mb.mu.Unlock()
 }
 
-// peerDead marks one sender as finished (from = -1: unknown sender).
+// peerDead marks one sender as finished. A sender id outside the node
+// range (-1: a stream that failed before naming its sender) could be any
+// peer, so every take that still waits fails.
 func (mb *mailbox) peerDead(from int) {
 	mb.mu.Lock()
-	if from < 0 {
+	if from < 0 || from >= len(mb.dead) {
 		mb.anyDead = true
 	} else {
 		mb.dead[from] = true
@@ -126,25 +133,25 @@ func (mb *mailbox) close() {
 // take removes and returns the message with tag k, blocking until it
 // arrives. It fails fast if the sender (or the transport) died first.
 func (mb *mailbox) take(k tagKey) (message, error) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
 	for {
-		mb.mu.Lock()
 		if a, ok := mb.arrived[k]; ok {
 			delete(mb.arrived, k)
-			mb.mu.Unlock()
 			return a.msg, nil
 		}
 		if mb.err != nil {
-			err := mb.err
-			mb.mu.Unlock()
-			return message{}, err
+			return message{}, mb.err
 		}
 		if mb.closed || mb.anyDead || mb.dead[k.from] {
-			mb.mu.Unlock()
 			return message{}, fmt.Errorf("peer %d exited before sending %s", k.from, k)
 		}
 		wake := mb.wake
+		mb.waiters++
 		mb.mu.Unlock()
 		<-wake
+		mb.mu.Lock()
+		mb.waiters--
 	}
 }
 
@@ -271,10 +278,12 @@ func evolveOwners(prog *Program, steps int, visit func(step, li int, t runtime.T
 // schedule derives node j's whole protocol before its first send: one
 // launchSched per (step, launch) in run order, the final owners its
 // gather packs, and its window of each region. A node derives only its
-// own rows, O(n) set operations per requirement field. It fails before
-// any message moves on a field without an owner, a ghost set no owner
-// covers, a guarded write-back that would lose updates, or a set the
-// node's window misses; some of these hold for one node only.
+// own rows: per requirement field, one split of its remote set and set
+// operations only for the peers its owned set neighbours (see traffic).
+// It fails before any message moves on a field without an owner, a
+// ghost set no owner covers, a guarded write-back that would lose
+// updates, or a set the node's window misses; some of these hold for
+// one node only.
 //
 // A region's window is the hull, within the region's index space, of
 // the color-j subregion of every partition a launch names on it
@@ -322,7 +331,7 @@ func schedule(prog *Program, cfg Config, j int) ([]*launchSched, []finalOwner, m
 		for _, a := range t.Loop.Access {
 			widenSym(a.Region, a.Sym)
 		}
-		sc, lerr := scheduleLaunch(prog.Parts, cfg, j, step, li, t, entry, moved)
+		sc, lerr := scheduleLaunch(prog.Parts, cfg, j, step, li, t, entry, moved, traffic)
 		if lerr != nil {
 			err = fmt.Errorf("step %d, launch %s: %w", step, t.Launch.Name, lerr)
 			return
@@ -374,75 +383,79 @@ func checkWindows(parts map[string]*region.Partition, j int, win map[string]geom
 	return nil
 }
 
-func scheduleLaunch(parts map[string]*region.Partition, cfg Config, j, step, li int, t runtime.Task, entry, moved map[sim.FieldKey]*region.Partition) (*launchSched, error) {
-	sc := &launchSched{step: step, li: li, task: t,
-		touches: map[rewrite.FieldKey]bool{}, reach: map[rewrite.FieldKey]geometry.IndexSet{}}
-	st := &sc.stats
-	pay := func(in bool, set geometry.IndexSet, msgs int) {
-		bytes, frags := float64(set.Len())*cfg.BytesPerElem, set.NumIntervals()
-		if in {
-			st.BytesIn, st.FragsIn, st.MsgsIn = st.BytesIn+bytes, st.FragsIn+frags, st.MsgsIn+msgs
-		} else {
-			st.BytesOut, st.FragsOut, st.MsgsOut = st.BytesOut+bytes, st.FragsOut+frags, st.MsgsOut+msgs
-		}
-	}
+// trafficFunc schedules one requirement field's messages into node j's
+// launchSched and returns need(j); see traffic.
+type trafficFunc func(sc *launchSched, cfg Config, j int, tag tagKey, pull bool, p, inst, owner *region.Partition) geometry.IndexSet
 
-	// traffic schedules one requirement field's messages. need(c) is the
-	// part of color c's set of inst that owner places elsewhere (nothing
-	// when c's instance subregion in p is empty); c pulls it before the
-	// launch (ghosts) or pushes it after (write-backs). Every message
-	// carries need(c) ∩ owner.Sub(o) between c and an owner o: node j
-	// evaluates it as c against every owner and as o against every peer.
-	// The side that pulls or pushes pays for its whole remote set, the
-	// other side for its piece. It returns need(j).
-	traffic := func(tag tagKey, pull bool, p, inst, owner *region.Partition) geometry.IndexSet {
-		need := func(c int) geometry.IndexSet {
-			if p.Sub(c).Empty() {
-				return geometry.IndexSet{}
-			}
-			return inst.Sub(c).Subtract(owner.Sub(c))
-		}
-		remote := need(j)
-		move := func(c, o int, list *[]transfer) geometry.IndexSet {
-			nc := remote
-			if c != j {
-				nc = need(c)
-			}
-			set := nc.Intersect(owner.Sub(o))
-			if !set.Empty() {
-				tr := transfer{tag: tag, to: o, set: set}
-				tr.tag.from = c
-				if pull {
-					tr.tag.from, tr.to = o, c
-				}
-				*list = append(*list, tr)
-			}
-			return set
-		}
-		mine, theirs := &sc.backsOut, &sc.backsIn
+// pay charges a moved set to one side of a node's statistics.
+func pay(st *sim.NodeStats, bytesPerElem float64, in bool, set geometry.IndexSet, msgs int) {
+	bytes, frags := float64(set.Len())*bytesPerElem, set.NumIntervals()
+	if in {
+		st.BytesIn, st.FragsIn, st.MsgsIn = st.BytesIn+bytes, st.FragsIn+frags, st.MsgsIn+msgs
+	} else {
+		st.BytesOut, st.FragsOut, st.MsgsOut = st.BytesOut+bytes, st.FragsOut+frags, st.MsgsOut+msgs
+	}
+}
+
+// traffic schedules one requirement field's messages. need(c) is the
+// part of color c's set of inst that owner places elsewhere (nothing
+// when c's instance subregion in p is empty); c pulls it before the
+// launch (ghosts) or pushes it after (write-backs). Every message
+// carries need(c) ∩ owner.Sub(o) between c and an owner o. Node j finds
+// its own messages by splitting need(j) along owner's index, and its
+// peers' messages to or from it by intersecting need(k) with
+// owner.Sub(j) for each peer k whose instance subregion's hull meets
+// owner.Sub(j)'s; both lists are in ascending peer order. The side that
+// pulls or pushes pays for its whole remote set, the other side for its
+// piece. It returns need(j).
+func traffic(sc *launchSched, cfg Config, j int, tag tagKey, pull bool, p, inst, owner *region.Partition) geometry.IndexSet {
+	mine, theirs := &sc.backsOut, &sc.backsIn
+	if pull {
+		mine, theirs = &sc.ghostsIn, &sc.ghostsOut
+	}
+	add := func(list *[]transfer, c, o int, set geometry.IndexSet) {
+		tr := transfer{tag: tag, to: o, set: set}
+		tr.tag.from = c
 		if pull {
-			mine, theirs = &sc.ghostsIn, &sc.ghostsOut
+			tr.tag.from, tr.to = o, c
 		}
-		msgs := 0
+		*list = append(*list, tr)
+	}
+	var remote geometry.IndexSet
+	if !p.Sub(j).Empty() {
+		remote = inst.Sub(j).Subtract(owner.Sub(j))
+	}
+	// need(j) misses owner.Sub(j), so no piece is node j's own.
+	pieces := region.SplitByOwner(remote, owner)
+	for _, pc := range pieces {
+		add(mine, j, pc.Color, pc.Set)
+	}
+	if own := owner.Sub(j); !own.Empty() {
+		hull, _ := own.Bounds()
 		for k := 0; k < cfg.Nodes; k++ {
-			if k == j {
+			if k == j || p.Sub(k).Empty() {
 				continue
 			}
-			if !remote.Empty() && !move(j, k, mine).Empty() {
-				msgs++
+			if b, ok := inst.Sub(k).Bounds(); !ok || !b.Overlaps(hull) {
+				continue
 			}
-			if !owner.Sub(j).Empty() {
-				if set := move(k, j, theirs); !set.Empty() {
-					pay(!pull, set, 1)
-				}
+			if set := inst.Sub(k).Intersect(own).Subtract(owner.Sub(k)); !set.Empty() {
+				add(theirs, k, j, set)
+				pay(&sc.stats, cfg.BytesPerElem, !pull, set, 1)
 			}
 		}
-		if !remote.Empty() {
-			pay(pull, remote, msgs)
-		}
-		return remote
 	}
+	if !remote.Empty() {
+		pay(&sc.stats, cfg.BytesPerElem, pull, remote, len(pieces))
+	}
+	return remote
+}
 
+// scheduleLaunch derives node j's launchSched for one (step, launch),
+// scheduling each requirement field's messages with route (traffic).
+func scheduleLaunch(parts map[string]*region.Partition, cfg Config, j, step, li int, t runtime.Task, entry, moved map[sim.FieldKey]*region.Partition, route trafficFunc) (*launchSched, error) {
+	sc := &launchSched{step: step, li: li, task: t,
+		touches: map[rewrite.FieldKey]bool{}, reach: map[rewrite.FieldKey]geometry.IndexSet{}}
 	for ri, req := range t.Launch.Reqs {
 		p, inst := parts[req.Sym], parts[req.Sym]
 		buffered := req.Priv == runtime.Reduce && !req.Guarded
@@ -457,7 +470,7 @@ func scheduleLaunch(parts map[string]*region.Partition, cfg Config, j, step, li 
 				if req.PrivateSym != "" {
 					sub = sub.Subtract(parts[req.PrivateSym].Sub(j))
 				}
-				st.BufferElems += float64(sub.Len()) * float64(len(req.Fields))
+				sc.stats.BufferElems += float64(sub.Len()) * float64(len(req.Fields))
 			}
 		}
 		for _, f := range req.Fields {
@@ -469,7 +482,7 @@ func scheduleLaunch(parts map[string]*region.Partition, cfg Config, j, step, li 
 			tag := tagKey{step: step, launch: li, req: ri, region: req.Region, field: f}
 			if needsFetch(req) {
 				tag.kind = ghostMsg
-				if remote := traffic(tag, true, p, p, owner); !remote.SubsetOf(owner.UnionAll()) {
+				if remote := route(sc, cfg, j, tag, true, p, p, owner); !remote.SubsetOf(owner.UnionAll()) {
 					return nil, fmt.Errorf("no valid copy of %s.%s for ghost set %s (owner covers only %s)",
 						req.Region, f, remote, remote.Intersect(owner.UnionAll()))
 				}
@@ -489,7 +502,7 @@ func scheduleLaunch(parts map[string]*region.Partition, cfg Config, j, step, li 
 			}
 			if !buffered {
 				tag.kind = shipMsg
-				if remote := traffic(tag, false, p, p, owner); !remote.SubsetOf(owner.UnionAll()) {
+				if remote := route(sc, cfg, j, tag, false, p, p, owner); !remote.SubsetOf(owner.UnionAll()) {
 					return nil, fmt.Errorf("guarded write-back of %s.%s would lose updates on unowned set %s",
 						req.Region, f, remote.Subtract(owner.UnionAll()))
 				}
@@ -501,7 +514,7 @@ func scheduleLaunch(parts map[string]*region.Partition, cfg Config, j, step, li 
 			// buffer, its reach and its fold are per field. touches holds
 			// only fold fields until the ships join it below.
 			tag.kind = mergeMsg
-			remote := traffic(tag, false, p, inst, owner)
+			remote := route(sc, cfg, j, tag, false, p, inst, owner)
 			fk := rewrite.FieldKey{Region: req.Region, Field: f}
 			if !sc.touches[fk] {
 				sc.touches[fk] = true

@@ -17,8 +17,9 @@ type Partition struct {
 	name   string
 	parent *Region
 	subs   []geometry.IndexSet
-	// union lazily caches UnionAll, IsDisjoint and OwnerView; shared by
-	// Rename views (the subregions are immutable, so all three are too).
+	// union lazily caches UnionAll, IsDisjoint, OwnerView and the owner
+	// index; shared by Rename views (the subregions are immutable, so all
+	// four are too).
 	union *unionCache
 }
 
@@ -29,6 +30,8 @@ type unionCache struct {
 	disjoint     bool
 	ownerOnce    sync.Once
 	owner        *Partition
+	indexOnce    sync.Once
+	index        *geometry.ColorIndex
 }
 
 func newPartition(name string, parent *Region, subs []geometry.IndexSet) *Partition {
@@ -145,31 +148,30 @@ func (p *Partition) SamePartition(other *Partition) bool {
 
 // OwnedPiece is one owner color's share of an index set: the slice of a
 // ghost/halo region that a single node holds the valid copy of.
-type OwnedPiece struct {
-	Color int
-	Set   geometry.IndexSet
+type OwnedPiece = geometry.ColorPiece
+
+// ownerIndex returns the sorted (interval, color) runs of the
+// subregions, built once and shared by Rename views.
+func (p *Partition) ownerIndex() *geometry.ColorIndex {
+	if p.union == nil {
+		return geometry.NewColorIndex(p.subs)
+	}
+	p.union.indexOnce.Do(func() { p.union.index = geometry.NewColorIndex(p.subs) })
+	return p.union.index
 }
 
 // SplitByOwner splits s along the colors of the owner partition,
-// returning the non-empty pieces in ascending color order. The cost
-// model predicts its per-pair transfer volumes from this split. The
-// distributed executor does not call it: its schedule derives the
-// messages it sends independently, and TestCommMatchesSim holds the two
-// derivations equal pair by pair. Elements of s outside the owner's
-// union appear in no piece.
+// returning the non-empty pieces s ∩ owner.Sub(k) in ascending color
+// order; elements of s outside the owner's union appear in no piece. It
+// is one merge walk of s against the owner's cached index, so its cost
+// follows the intervals the walk touches, not the number of colors, and
+// an aliased owner takes the same walk. The cost model predicts its
+// per-pair transfer volumes from this split, and each executor node
+// splits its own remote sets with it; the executor derives the peers'
+// side of every message by Subtract and Intersect, and
+// TestCommMatchesSim holds the two derivations equal pair by pair.
 func SplitByOwner(s geometry.IndexSet, owner *Partition) []OwnedPiece {
-	if s.Empty() {
-		return nil
-	}
-	var out []OwnedPiece
-	for k := 0; k < owner.NumSubs(); k++ {
-		piece := s.Intersect(owner.Sub(k))
-		if piece.Empty() {
-			continue
-		}
-		out = append(out, OwnedPiece{Color: k, Set: piece})
-	}
-	return out
+	return owner.ownerIndex().Split(s)
 }
 
 // Rename returns a view of the partition under a different name, sharing

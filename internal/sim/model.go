@@ -317,9 +317,9 @@ type remotePlan struct {
 
 // planRemote computes, concurrently over colors, the remote part of
 // get(j) relative to owner and its split over the other colors' owned
-// sets. The heavy Subtract/Intersect interval arithmetic runs in the
-// worker pool; only cheap additions remain for the caller's ordered
-// accumulate phase.
+// sets. The set arithmetic — one Subtract and one walk of the owner's
+// index per color — runs in the worker pool; only cheap additions
+// remain for the caller's ordered accumulate phase.
 func (m Model) planRemote(n int, get func(j int) geometry.IndexSet, owner *region.Partition) []remotePlan {
 	plans := make([]remotePlan, n)
 	par.Do(n, func(j int) {
@@ -335,15 +335,16 @@ func (m Model) planRemote(n int, get func(j int) geometry.IndexSet, owner *regio
 			bytes: float64(remote.Len()) * m.BytesPerElem,
 			frags: remote.NumIntervals(),
 		}
-		// The executor derives its messages independently of this split;
 		// TestCommMatchesSim holds predicted and shipped pieces equal pair
 		// by pair.
-		for _, pc := range region.SplitByOwner(remote, owner) {
-			pl.pieces = append(pl.pieces, piece{
+		split := region.SplitByOwner(remote, owner)
+		pl.pieces = make([]piece, len(split))
+		for i, pc := range split {
+			pl.pieces[i] = piece{
 				k:     pc.Color,
 				bytes: float64(pc.Set.Len()) * m.BytesPerElem,
 				frags: pc.Set.NumIntervals(),
-			})
+			}
 		}
 		plans[j] = pl
 	})
