@@ -413,7 +413,11 @@ func Run(prog *Program, cfg Config) (*Result, error) {
 
 // RunSequentialReference executes the same plan with the sequential
 // parallel-semantics executor (rewrite.RunLaunch) for steps iterations:
-// the bit-exact reference the distributed run must reproduce.
+// the bit-exact reference the distributed run must reproduce. It runs
+// the same shard interpreter (rewrite.RunShard) as the distributed run,
+// so it is not an independent oracle: a fault in that interpreter shows
+// in both alike. ir.Machine.RunSequential, the true-sequential
+// interpreter the internal/gen exec oracle uses, is the independent one.
 func RunSequentialReference(prog *Program, steps int) (*ir.Machine, error) {
 	if steps <= 0 {
 		steps = 1

@@ -67,6 +67,7 @@ func TransportByName(name string) (TransportFactory, error) {
 type queue struct {
 	mu      sync.Mutex
 	q       []message
+	spare   []message     // the batch the last take handed out
 	wake    chan struct{} // 1-buffered doorbell
 	senders int           // producers that have not called done
 	out     chan message  // inboxes only: the forwarder's delivery channel
@@ -134,11 +135,14 @@ func (q *queue) ring() {
 
 // take removes and returns everything queued, in push order, without
 // blocking. open is false once every sender is done: an empty batch
-// with open false is the end of the stream.
+// with open false is the end of the stream. A batch stays valid until
+// the consumer's next take, which clears it and keeps it as the backing
+// array of the pushes after it.
 func (q *queue) take() (batch []message, open bool) {
 	q.mu.Lock()
 	batch, open = q.q, q.senders > 0
-	q.q = nil
+	clear(q.spare)
+	q.q, q.spare = q.spare[:0], batch
 	q.mu.Unlock()
 	return batch, open
 }

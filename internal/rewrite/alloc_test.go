@@ -3,7 +3,9 @@ package rewrite_test
 import (
 	"testing"
 
+	"autopart/internal/apps/circuit"
 	"autopart/internal/apps/miniaero"
+	"autopart/internal/apps/spmv"
 	"autopart/internal/apps/stencil"
 	"autopart/internal/exec"
 	"autopart/internal/rewrite"
@@ -13,39 +15,100 @@ import (
 // TestRunShardAllocsFlat pins that the shard interpreter's allocations
 // do not grow with the shard: resolving the body costs a fixed number,
 // each written field's dense run is one allocation whatever its length,
-// and the iterations allocate nothing. One stencil compute shard (a
-// whole single-node grid) must allocate exactly as often at 16,384
-// elements as at 1,024.
+// a batched shard's scratch comes from a recycled arena, and the
+// iterations allocate nothing. Each shard below (a whole single-node
+// problem) must allocate exactly as often at its larger size as at its
+// smaller: stencil's compute loop (centered reductions), a MiniAero face
+// loop (guarded reductions, committed per batch) and circuit's charge
+// loop (buffered reductions).
 func TestRunShardAllocsFlat(t *testing.T) {
-	c, err := autopart.Compile(stencil.Source(), autopart.Options{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		src   string
+		sizes []func(*autopart.Compiled) (*exec.Program, error)
+		task  func(*rewrite.ParallelLoop) bool
+	}{
+		{"stencil", stencil.Source(), []func(*autopart.Compiled) (*exec.Program, error){
+			func(c *autopart.Compiled) (*exec.Program, error) {
+				return stencil.Executable(stencil.Config{Width: 128, RowsPerNode: 8}, c, 1)
+			},
+			func(c *autopart.Compiled) (*exec.Program, error) {
+				return stencil.Executable(stencil.Config{Width: 128, RowsPerNode: 128}, c, 1)
+			},
+		}, func(*rewrite.ParallelLoop) bool { return true }},
+		{"miniaero faces", miniaero.Source(), []func(*autopart.Compiled) (*exec.Program, error){
+			func(c *autopart.Compiled) (*exec.Program, error) {
+				return miniaero.Executable(miniaero.Config{DX: 4, DY: 4, DZ: 4}, c, 1)
+			},
+			func(c *autopart.Compiled) (*exec.Program, error) {
+				return miniaero.Executable(miniaero.Config{DX: 16, DY: 16, DZ: 16}, c, 1)
+			},
+		}, func(pl *rewrite.ParallelLoop) bool {
+			return has(pl, func(a *rewrite.AccessInfo) bool { return a.Guarded })
+		}},
+		{"circuit charge", circuit.Source, []func(*autopart.Compiled) (*exec.Program, error){
+			func(c *autopart.Compiled) (*exec.Program, error) {
+				return circuit.Executable(circuit.Config{WiresPerCluster: 200, NodesPerCluster: 100, SharedFraction: 0.02, CrossFraction: 0.2}, c, 1, false)
+			},
+			func(c *autopart.Compiled) (*exec.Program, error) {
+				return circuit.Executable(circuit.Config{WiresPerCluster: 4000, NodesPerCluster: 2000, SharedFraction: 0.02, CrossFraction: 0.2}, c, 1, false)
+			},
+		}, func(pl *rewrite.ParallelLoop) bool {
+			return has(pl, func(a *rewrite.AccessInfo) bool { return a.Buffered })
+		}},
 	}
-	var counts []float64
-	for _, rows := range []int64{8, 128} {
-		cfg := stencil.Config{Width: 128, RowsPerNode: rows}
-		prog, err := stencil.Executable(cfg, c, 1)
+	for _, tc := range cases {
+		c, err := autopart.Compile(tc.src, autopart.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl := prog.Plan.Tasks[0].Loop
-		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := rewrite.RunShard(prog.Machine, prog.Parts, pl, 0); err != nil {
+		var counts []float64
+		for _, build := range tc.sizes {
+			prog, err := build(c)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%d elements: %.0f allocations per shard", cfg.PointsPerNode(), allocs)
-		counts = append(counts, allocs)
-	}
-	if counts[0] != counts[1] {
-		t.Errorf("%.0f allocations per shard at 16,384 elements, %.0f at 1,024; want equal", counts[1], counts[0])
+			var pl *rewrite.ParallelLoop
+			for _, task := range prog.Plan.Tasks {
+				if tc.task(task.Loop) {
+					pl = task.Loop
+					break
+				}
+			}
+			if pl == nil || !rewrite.BatchSafe(pl) {
+				t.Fatalf("%s: no batch-safe launch to pin", tc.name)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := rewrite.RunShard(prog.Machine, prog.Parts, pl, 0); err != nil {
+					t.Fatal(err)
+				}
+			})
+			elems := prog.Parts[pl.IterSym].Sub(0).Len()
+			t.Logf("%s, %d elements: %.0f allocations per shard", tc.name, elems, allocs)
+			counts = append(counts, allocs)
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("%s: %.0f allocations per shard at the larger size, %.0f at the smaller; want equal", tc.name, counts[1], counts[0])
+		}
 	}
 }
 
-// BenchmarkRunShard runs color 0 of every launch of stencil and
-// miniaero at their default sizes on 8 nodes, each against the
+// has reports whether some access of pl satisfies ok.
+func has(pl *rewrite.ParallelLoop, ok func(*rewrite.AccessInfo) bool) bool {
+	for _, a := range pl.Access {
+		if ok(a) {
+			return true
+		}
+	}
+	return false
+}
+
+// BenchmarkRunShard runs color 0 of every launch of stencil, miniaero,
+// circuit and spmv at their default sizes on 8 nodes, each against the
 // program's initial machine: the shard interpreter's own cost, without
-// the executor's schedule, transport or flush around it.
+// the executor's schedule, transport or flush around it. Stencil's and
+// miniaero's launches run batched, circuit's too (its charge loop with
+// buffered reductions); spmv's inner loop runs element-at-a-time.
 func BenchmarkRunShard(b *testing.B) {
 	type app struct {
 		name  string
@@ -58,6 +121,12 @@ func BenchmarkRunShard(b *testing.B) {
 		}},
 		{"miniaero", miniaero.Source(), func(c *autopart.Compiled) (*exec.Program, error) {
 			return miniaero.Executable(miniaero.DefaultConfig(), c, 8)
+		}},
+		{"circuit", circuit.Source, func(c *autopart.Compiled) (*exec.Program, error) {
+			return circuit.Executable(circuit.DefaultConfig(), c, 8, false)
+		}},
+		{"spmv", spmv.Source, func(c *autopart.Compiled) (*exec.Program, error) {
+			return spmv.Executable(spmv.DefaultConfig(), c, 8)
 		}},
 	}
 	for _, a := range apps {

@@ -325,37 +325,58 @@ func (f *Fold) Apply(r *region.Region, field string) {
 // shards may run against the same machine (a launch-entry snapshot, or a
 // distributed node's region windows made current by a ghost exchange).
 //
-// The body is compiled once per call into one closure per statement and
-// per expression, each specialised on what resolving fixes: names become
-// slots of a typed frame, fields their backing slices, accesses this
-// color's subregions, stores their §5 plan and operator, opaque calls
-// their seeds. A malformed body fails before any iteration runs,
-// value-dependent errors where they occur. An access indexed by the loop
-// variable, which no statement rebinds, is checked once for the whole
-// shard when the iteration subregion lies inside the access's subregion;
-// every other access is checked per element.
+// The body is compiled once per call, each statement and expression
+// specialised on what resolving fixes: names become slots of a typed
+// frame, fields their backing slices, accesses this color's subregions,
+// stores their §5 plan and operator, opaque calls their seeds. A
+// malformed body fails before any iteration runs, value-dependent errors
+// where they occur. An access indexed by the loop variable, which no
+// statement rebinds, is checked once for the whole shard when the
+// iteration subregion lies inside the access's subregion; every other
+// access is checked per element.
+//
+// A batch-safe body (see batchSafe) runs statement-at-a-time over
+// batches of up to 256 iterations, one lane each; §5.1 guarded and
+// buffered reductions are recorded per lane and committed when the batch
+// ends, lane by lane and within a lane in statement order, so every
+// float fold happens in (iteration, statement) order. Every other body
+// runs element-at-a-time, one closure call per statement per iteration.
+// A batched shard that meets any error is run again from the start
+// element-at-a-time, which reports the sequentially first (iteration,
+// statement) error; that is sound because m is never mutated.
 func RunShard(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoop, color int) (*ShardResult, error) {
-	iter, ok := parts[pl.IterSym]
-	if !ok {
-		return nil, fmt.Errorf("launch %s: unbound iteration partition %q", pl, pl.IterSym)
+	if batchSafe(pl) {
+		if res, err := runBatched(m, parts, pl, color); err == nil {
+			return res, nil
+		}
 	}
-	s := &shard{m: m, parts: parts, pl: pl, color: color, slots: map[string]int{}, fields: map[FieldKey]*field{},
+	return runElements(m, parts, pl, color)
+}
+
+func newShard(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoop, color int) *shard {
+	return &shard{m: m, parts: parts, pl: pl, color: color, slots: map[string]int{}, fields: map[FieldKey]*field{},
 		res: &ShardResult{
 			Scalars:    map[FieldKey]*Run[float64]{},
 			Indexes:    map[FieldKey]*Run[int64]{},
 			Reductions: map[FieldKey]*ReduceBuffer{},
 		}}
+}
+
+// runElements is RunShard element-at-a-time: the compiled body runs once
+// per iteration over a frame of one value per slot.
+func runElements(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoop, color int) (*ShardResult, error) {
+	iter, ok := parts[pl.IterSym]
+	if !ok {
+		return nil, fmt.Errorf("launch %s: unbound iteration partition %q", pl, pl.IterSym)
+	}
+	s := newShard(m, parts, pl, color)
 	loopVar := s.slot(pl.Loop.Var)
 	body, err := s.compile(pl.Loop.Stmts)
 	if err != nil {
 		return nil, fmt.Errorf("task %d: %w", color, err)
 	}
 	sub := iter.Sub(color)
-	if !s.rebinds {
-		for _, a := range s.accs {
-			a.hoisted = a.slot == loopVar && sub.SubsetOf(a.sub)
-		}
-	}
+	s.hoist(loopVar, sub)
 	n := len(s.names)
 	s.state, s.f, s.i = make([]uint8, n), make([]float64, n), make([]int64, n)
 	for _, iv := range sub.Intervals() {
@@ -370,6 +391,18 @@ func RunShard(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLoo
 	return s.res, nil
 }
 
+// hoist marks the accesses whose containment check one SubsetOf proves
+// for every iteration of sub: those indexed by the loop variable when no
+// statement rebinds it.
+func (s *shard) hoist(loopVar int, sub geometry.IndexSet) {
+	if s.rebinds {
+		return
+	}
+	for _, a := range s.accs {
+		a.hoisted = a.slot == loopVar && sub.SubsetOf(a.sub)
+	}
+}
+
 // The states of a frame slot. A scalar slot holds its value in f, an
 // index slot in i.
 const (
@@ -380,8 +413,8 @@ const (
 )
 
 // shard is one RunShard call: what the body is compiled against, the
-// typed frame (one slot per name, unbound again each iteration) and the
-// result the task's writes build.
+// element-at-a-time frame (one slot per name, unbound again each
+// iteration) and the result the task's writes build.
 type shard struct {
 	m       *ir.Machine
 	parts   map[string]*region.Partition
@@ -768,16 +801,22 @@ func (s *shard) compileStmt(src ir.Stmt) (step, error) {
 	return nil, fmt.Errorf("unknown statement %T", src)
 }
 
-func (s *shard) load(st *ir.Load) (step, error) {
-	idx, dst := s.slot(st.Idx), s.dest(st.Var)
+// resolveLoad resolves a load's field and access.
+func (s *shard) resolveLoad(st *ir.Load, idx int) (*field, *access, error) {
 	f, err := s.field(st, st.Region, st.Field)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if f.kind == region.RangeField {
-		return nil, fmt.Errorf("%s: cannot load range field", st)
+		return nil, nil, fmt.Errorf("%s: cannot load range field", st)
 	}
 	a, err := s.access(st, idx)
+	return f, a, err
+}
+
+func (s *shard) load(st *ir.Load) (step, error) {
+	idx, dst := s.slot(st.Idx), s.dest(st.Var)
+	f, a, err := s.resolveLoad(st, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -805,26 +844,52 @@ func (s *shard) load(st *ir.Load) (step, error) {
 	}, nil
 }
 
-func (s *shard) store(st *ir.Store) (step, error) {
-	idx, x := s.slot(st.Idx), s.expr(st.Rhs)
+// resolveStore resolves a store's field, access and reduction operator,
+// and enters its subregion in the field's store union.
+func (s *shard) resolveStore(st *ir.Store, idx int) (*field, *access, byte, error) {
 	f, err := s.field(st, st.Region, st.Field)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	a, err := s.access(st, idx)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	if f.kind == region.RangeField || (a.Guarded || a.Buffered) && f.kind != region.ScalarField {
-		return nil, fmt.Errorf("%s: cannot store to %s field %s", st, f.kind, st.Field)
+		return nil, nil, 0, fmt.Errorf("%s: cannot store to %s field %s", st, f.kind, st.Field)
 	}
 	f.stores = append(f.stores, a.sub)
 	op, ok := reduceOps[st.Op]
 	switch {
 	case !ok:
-		return nil, fmt.Errorf("%s: unknown reduction operator %q", st, st.Op)
+		return nil, nil, 0, fmt.Errorf("%s: unknown reduction operator %q", st, st.Op)
 	case op == opSet && a.Buffered:
-		return nil, fmt.Errorf("%s: reduction operator %q has no identity", st, st.Op)
+		return nil, nil, 0, fmt.Errorf("%s: reduction operator %q has no identity", st, st.Op)
+	}
+	return f, a, op, nil
+}
+
+// contribute folds v into the task's reduction buffer for f at idx under
+// op, whose byte code is code: an element not yet present starts at
+// ident, op's identity.
+func (s *shard) contribute(f *field, op lang.ReduceOp, code byte, ident float64, idx int64, v float64) {
+	b := f.buf
+	if b == nil {
+		b = s.reduceBuffer(f, op)
+	}
+	p := b.at.pos(idx)
+	old := ident
+	if b.has(p) {
+		old = b.vals[p]
+	}
+	b.set(p, reduce(code, old, v))
+}
+
+func (s *shard) store(st *ir.Store) (step, error) {
+	idx, x := s.slot(st.Idx), s.expr(st.Rhs)
+	f, a, op, err := s.resolveStore(st, idx)
+	if err != nil {
+		return nil, err
 	}
 	switch {
 	case a.Guarded:
@@ -842,16 +907,10 @@ func (s *shard) store(st *ir.Store) (step, error) {
 		ident := ir.ReduceIdentity(string(st.Op))
 		return func() error {
 			k, v, err := s.operands(st, a, x)
-			if err != nil {
-				return err
+			if err == nil {
+				s.contribute(f, st.Op, op, ident, k, v)
 			}
-			b := s.reduceBuffer(f, st.Op)
-			p, old := b.at.pos(k), ident
-			if b.has(p) {
-				old = b.vals[p]
-			}
-			b.set(p, reduce(op, old, v))
-			return nil
+			return err
 		}, nil
 	case f.kind == region.IndexField:
 		// A plain store to a pointer field takes the raw value.
@@ -924,17 +983,22 @@ func (s *shard) branches(then, els []ir.Stmt) ([]step, []step, error) {
 	return t, e, err
 }
 
+// space returns what membership in an IfIn's Space tests: a region is
+// [0, size), a partition its union; size is -1 and in nil if Space is
+// unknown.
+func (s *shard) space(st *ir.IfIn) (size int64, in func(int64) bool) {
+	if reg, ok := s.m.Regions[st.Space]; ok {
+		return reg.Size(), nil
+	}
+	if p, ok := s.m.Partitions[st.Space]; ok {
+		return -1, p.UnionAll().Contains
+	}
+	return -1, nil
+}
+
 func (s *shard) ifIn(st *ir.IfIn) (step, error) {
 	idx := s.slot(st.Idx)
-	// Membership in Space: a region is [0, size), a partition its
-	// union; in is nil if Space is unknown.
-	var in func(int64) bool
-	size := int64(-1)
-	if reg, ok := s.m.Regions[st.Space]; ok {
-		size = reg.Size()
-	} else if p, ok := s.m.Partitions[st.Space]; ok {
-		in = p.UnionAll().Contains
-	}
+	size, in := s.space(st)
 	then, els, err := s.branches(st.Then, st.Else)
 	if err != nil {
 		return nil, err

@@ -12,11 +12,13 @@ import (
 
 // TestRunShardRunTimeErrors pins the errors that depend on values: each
 // must surface only when the failing statement runs, with its exact text
-// and the iteration it ran in. The body runs over R = [0, 4) with loop
-// variable i; every access goes through partition P, whose color-0
-// subregion is sub (all of R unless a case says otherwise), and the
-// iteration partition's color 0 is iter (all of R unless a case says
-// otherwise).
+// and the iteration it ran in. The body runs over R = [0, size) (size 4
+// unless a case says otherwise) with loop variable i; every access goes
+// through partition P, whose color-0 subregion is sub (all of R unless a
+// case says otherwise), and the iteration partition's color 0 is iter
+// (all of R unless a case says otherwise). Batch-safe bodies run over
+// batches of 256 iterations, and their first error in (iteration,
+// statement) order is still the one reported.
 func TestRunShardRunTimeErrors(t *testing.T) {
 	v := func(name string) ir.ScalarExpr { return ir.VarExpr{Name: name} }
 	c := func(x float64) ir.ScalarExpr { return ir.Const{V: x} }
@@ -28,6 +30,8 @@ func TestRunShardRunTimeErrors(t *testing.T) {
 		name      string
 		body      []ir.Stmt
 		iter, sub geometry.IndexSet
+		size      int64
+		batched   bool // the body must be batch-safe
 		want      string
 	}{
 		{name: "unbound access index",
@@ -81,11 +85,28 @@ func TestRunShardRunTimeErrors(t *testing.T) {
 			iter: geometry.Range(0, 2),
 			sub:  geometry.Range(0, 2),
 			want: `task 0, iteration 0: access R[3].s escapes subregion P[0] — unsound partitioning`},
+		{name: "first error at lane 44 of the second batch",
+			body: []ir.Stmt{load("x", "s", "i"), &ir.Store{Region: "R", Field: "s2", Idx: "i", Op: lang.OpSet, Rhs: v("x")}},
+			size: 600, batched: true,
+			sub:  geometry.FromIntervals(geometry.Interval{Lo: 0, Hi: 300}, geometry.Interval{Lo: 301, Hi: 600}),
+			want: `task 0, iteration 300: access R[300].s escapes subregion P[0] — unsound partitioning`},
+		{name: "a later iteration fails at an earlier statement",
+			body: []ir.Stmt{
+				&ir.IfCmp{Op: "==", L: v("i"), R: c(3), Then: []ir.Stmt{&ir.Apply{Var: "y", Func: "nof", Arg: "i"}}},
+				&ir.IfCmp{Op: "==", L: v("i"), R: c(2), Then: []ir.Stmt{&ir.Apply{Var: "z", Func: "nof2", Arg: "i"}}},
+			},
+			batched: true,
+			want:    `task 0, iteration 2: z = nof2(i): unknown index function`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := region.New("R", 4)
+			size := tc.size
+			if size == 0 {
+				size = 4
+			}
+			r := region.New("R", size)
 			r.AddScalarField("s")
+			r.AddScalarField("s2")
 			r.AddIndexField("p")
 			r.AddIndexField("p2")
 			copy(r.Index("p"), []int64{3, -1, 0, 1})
@@ -124,6 +145,9 @@ func TestRunShardRunTimeErrors(t *testing.T) {
 			parts := map[string]*region.Partition{
 				"I": region.NewPartition("I", r, []geometry.IndexSet{iter}),
 				"P": region.NewPartition("P", r, []geometry.IndexSet{sub}),
+			}
+			if tc.batched && !batchSafe(pl) {
+				t.Fatal("the body is not batch-safe")
 			}
 			_, err := RunShard(m, parts, pl, 0)
 			if err == nil || err.Error() != tc.want {
