@@ -4,10 +4,10 @@
 // package rewrite checks it sequentially).
 //
 // Each node owns the subregions the solved partitions assign to its
-// color and holds one window of each region: a copy of the interval
-// [lo, hi) that covers the node's subregion of every partition its
-// launches name on the region and of every owner the run passes
-// through — never the whole region. Within the window only the owned
+// color and holds one window of each region: a copy of the union of the
+// node's subregions of every partition its launches name on the region
+// and of every owner the run passes through — exactly what it touches,
+// not the hull of it. Within the window only the owned
 // elements (plus freshly fetched ghosts) are valid. A set outside the
 // window is a named error before any message moves, never an index
 // panic. A cmd/node worker still receives the whole machine in its

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -426,6 +428,93 @@ func TestOutputDigests(t *testing.T) {
 			t.Errorf("%s: final data sha256 %s, want %s", app.name, got, golden[app.name])
 		}
 	}
+
+	// The builtins' data sums exactly in any order, so the digests above
+	// cannot see a float fold done out of order. These runs (circuit on
+	// 16 nodes, miniaero and pennant-h2 on 8) refill every scalar field
+	// with non-integer values first, at node counts where a node holds
+	// several runs of a region, so that Fold.Apply, FlushShard and
+	// installField translate positions across held intervals; each is
+	// also held bit-exact to the sequential reference.
+	nonInteger := []struct {
+		app    appCase
+		nodes  int
+		digest string
+	}{
+		{cases[1], 16, "86090ad7361368f5ee3320ff27be7e1250a6039c489bd47d501775acb35624d3"},
+		{cases[4], 8, "95eda150dd108f4136000a822860d5355063182c262b7d145652faa3cc1187e7"},
+		{cases[5], 8, "fc282173a281ad69075f110ce480f8cf2373cf72577c7b7c6f30443151816b8d"},
+	}
+	for _, c := range nonInteger {
+		prog, err := c.app.build(c.nodes)
+		if err != nil {
+			t.Fatalf("%s: build: %v", c.app.name, err)
+		}
+		if runs := maxHeldRuns(t, prog, c.nodes); runs < 2 {
+			t.Errorf("%s on %d nodes: every window is one interval; the case places nothing across runs", c.app.name, c.nodes)
+		}
+		prog.Machine = refill(prog.Machine, 1)
+		res, err := exec.Run(prog, exec.Config{Nodes: c.nodes, Steps: steps})
+		if err != nil {
+			t.Fatalf("%s: run: %v", c.app.name, err)
+		}
+		ref, err := exec.RunSequentialReference(prog, steps)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.app.name, err)
+		}
+		got := machineDigest(res.Machine)
+		if want := machineDigest(ref); got != want {
+			t.Errorf("%s on %d nodes, non-integer data: distributed sha256 %s, sequential reference %s", c.app.name, c.nodes, got, want)
+		}
+		if got != c.digest {
+			t.Errorf("%s on %d nodes, non-integer data: final data sha256 %s, want %s", c.app.name, c.nodes, got, c.digest)
+		}
+	}
+}
+
+// maxHeldRuns returns the most intervals any node's window of any region
+// holds.
+func maxHeldRuns(t *testing.T, prog *exec.Program, nodes int) int {
+	t.Helper()
+	most := 0
+	for j := 0; j < nodes; j++ {
+		win, _, err := exec.NodeWindows(prog, exec.Config{Nodes: nodes}, j)
+		if err != nil {
+			t.Fatalf("node %d: %v", j, err)
+		}
+		for _, set := range win {
+			most = max(most, set.NumIntervals())
+		}
+	}
+	return most
+}
+
+// refill returns a copy of m whose scalar fields hold seeded non-integer
+// values between 1e-3 and 1e9 in magnitude, of either sign.
+func refill(m *ir.Machine, seed int64) *ir.Machine {
+	out := m.Clone()
+	names := make([]string, 0, len(out.Regions))
+	for name := range out.Regions {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	rng := rand.New(rand.NewSource(seed))
+	for _, name := range names {
+		r := out.Regions[name]
+		for _, f := range r.FieldNames() {
+			if k, _ := r.FieldKindOf(f); k != region.ScalarField {
+				continue
+			}
+			data := r.Scalar(f)
+			for i := range data {
+				data[i] = (rng.Float64() + 0.1) * math.Pow(10, float64(rng.Intn(13)-3))
+				if rng.Intn(2) == 0 {
+					data[i] = -data[i]
+				}
+			}
+		}
+	}
+	return out
 }
 
 // machineDigest hashes every region's name, size and fields (name,

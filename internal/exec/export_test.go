@@ -20,7 +20,7 @@ type Touch struct {
 // region with every set the run touches, listed independently of the
 // schedule's own check: each transfer, fold owned part, merge reach,
 // access-plan subregion and final gather piece.
-func NodeWindows(prog *Program, cfg Config, j int) (map[string]geometry.Interval, []Touch, error) {
+func NodeWindows(prog *Program, cfg Config, j int) (map[string]geometry.IndexSet, []Touch, error) {
 	applyDefaults(&cfg)
 	scheds, final, win, err := schedule(prog, cfg, j)
 	if err != nil {

@@ -76,13 +76,10 @@ type message struct {
 // its region: elements the node holds no copy of.
 var errOutsideWindow = errors.New("exec: set outside the node's window")
 
-// windowErr reports a non-empty set that leaves node's window win of the
-// named region.
-func windowErr(node int, name string, win geometry.Interval, set geometry.IndexSet) error {
-	if b, ok := set.Bounds(); ok && (b.Lo < win.Lo || b.Hi > win.Hi) {
-		return fmt.Errorf("%w: node %d, region %s, window %s, set %s", errOutsideWindow, node, name, win, set)
-	}
-	return nil
+// windowErr returns the error for a set with an element outside node's
+// window win of the named region.
+func windowErr(node int, name string, win, set geometry.IndexSet) error {
+	return fmt.Errorf("%w: node %d, region %s, window %s, set %s", errOutsideWindow, node, name, win, set)
 }
 
 // packField copies node's values of r over set into a fresh payload.
@@ -92,80 +89,43 @@ func packField(node int, r *region.Region, field string, set geometry.IndexSet) 
 		return msg, fmt.Errorf("exec: pack: unknown field %s.%s", r.Name(), field)
 	}
 	win := r.Window()
-	if err := windowErr(node, r.Name(), win, set); err != nil {
-		return msg, err
-	}
-	n := int(set.Len())
 	switch kind {
 	case region.ScalarField:
-		data := r.Scalar(field)
-		out := make([]float64, 0, n)
-		set.EachInterval(func(iv geometry.Interval) bool {
-			out = append(out, data[iv.Lo-win.Lo:iv.Hi-win.Lo]...)
-			return true
-		})
-		msg.scalars = out
+		msg.scalars, ok = geometry.Gather(r.Scalar(field), win, set)
 	case region.IndexField:
-		data := r.Index(field)
-		out := make([]int64, 0, n)
-		set.EachInterval(func(iv geometry.Interval) bool {
-			out = append(out, data[iv.Lo-win.Lo:iv.Hi-win.Lo]...)
-			return true
-		})
-		msg.indexes = out
+		msg.indexes, ok = geometry.Gather(r.Index(field), win, set)
 	case region.RangeField:
-		data := r.Ranges(field)
-		out := make([]geometry.Interval, 0, n)
-		set.EachInterval(func(iv geometry.Interval) bool {
-			out = append(out, data[iv.Lo-win.Lo:iv.Hi-win.Lo]...)
-			return true
-		})
-		msg.ranges = out
+		msg.ranges, ok = geometry.Gather(r.Ranges(field), win, set)
+	}
+	if !ok {
+		return message{}, windowErr(node, r.Name(), win.Set(), set)
 	}
 	msg.set = set
 	return msg, nil
 }
 
 // installField writes a received payload into node's values of r over
-// msg.set.
+// msg.set. A set the window misses fails with the out-of-window error,
+// possibly after writing the intervals before the first it misses: the
+// run is lost anyway.
 func installField(node int, r *region.Region, field string, msg *message) error {
 	kind, ok := r.FieldKindOf(field)
 	if !ok {
 		return fmt.Errorf("exec: install: unknown field %s.%s", r.Name(), field)
 	}
 	win := r.Window()
-	if err := windowErr(node, r.Name(), win, msg.set); err != nil {
-		return err
+	switch {
+	case kind == region.ScalarField && msg.scalars != nil:
+		ok = geometry.Scatter(r.Scalar(field), win, msg.set, msg.scalars)
+	case kind == region.IndexField && msg.indexes != nil:
+		ok = geometry.Scatter(r.Index(field), win, msg.set, msg.indexes)
+	case kind == region.RangeField && msg.ranges != nil:
+		ok = geometry.Scatter(r.Ranges(field), win, msg.set, msg.ranges)
+	default:
+		return fmt.Errorf("exec: install %s.%s: payload kind mismatch", r.Name(), field)
 	}
-	pos := 0
-	switch kind {
-	case region.ScalarField:
-		if msg.scalars == nil {
-			return fmt.Errorf("exec: install %s.%s: payload kind mismatch", r.Name(), field)
-		}
-		data := r.Scalar(field)
-		msg.set.EachInterval(func(iv geometry.Interval) bool {
-			pos += copy(data[iv.Lo-win.Lo:iv.Hi-win.Lo], msg.scalars[pos:])
-			return true
-		})
-	case region.IndexField:
-		if msg.indexes == nil {
-			return fmt.Errorf("exec: install %s.%s: payload kind mismatch", r.Name(), field)
-		}
-		data := r.Index(field)
-		msg.set.EachInterval(func(iv geometry.Interval) bool {
-			pos += copy(data[iv.Lo-win.Lo:iv.Hi-win.Lo], msg.indexes[pos:])
-			return true
-		})
-	case region.RangeField:
-		if msg.ranges == nil {
-			return fmt.Errorf("exec: install %s.%s: payload kind mismatch", r.Name(), field)
-		}
-		data := r.Ranges(field)
-		msg.set.EachInterval(func(iv geometry.Interval) bool {
-			pos += copy(data[iv.Lo-win.Lo:iv.Hi-win.Lo], msg.ranges[pos:])
-			return true
-		})
+	if !ok {
+		return windowErr(node, r.Name(), win.Set(), msg.set)
 	}
 	return nil
 }

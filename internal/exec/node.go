@@ -13,10 +13,11 @@ import (
 )
 
 // node is one SPMD executor node. It holds one window of each region —
-// a copy of the interval of it that covers every element its schedule
-// moves and its shards reach, valid only on owned elements and fresh
-// ghosts — and its rows of the per-launch statistics. Nodes communicate
-// exclusively through the transport; no mutable state is shared.
+// a copy of exactly the elements its schedule moves and its shards
+// reach, the union of those sets stored densely, valid only on owned
+// elements and fresh ghosts — and its rows of the per-launch
+// statistics. Nodes communicate exclusively through the transport; no
+// mutable state is shared.
 //
 // Execution is dependency-driven, not bulk-synchronous: the node derives
 // its whole schedule before its first send, so each launch's incoming
@@ -48,7 +49,8 @@ type pendingFinish struct {
 }
 
 // run derives the node's schedule, copies its window of each region out
-// of the program's initial data, executes every launch of the schedule,
+// of the program's initial data (the shared prog.Machine, which it only
+// reads), executes every launch of the schedule,
 // then settles every deferred finish so the gather reads fully merged
 // data. It returns the final owners the gather packs.
 func (n *node) run() ([]finalOwner, error) {
@@ -59,8 +61,7 @@ func (n *node) run() ([]finalOwner, error) {
 	whole := n.prog.Machine
 	n.m = &ir.Machine{Regions: make(map[string]*region.Region, len(whole.Regions)), Funcs: whole.Funcs, Partitions: whole.Partitions}
 	for name, r := range whole.Regions {
-		w := win[name]
-		n.m.Regions[name] = r.CopyWindow(w.Lo, w.Hi)
+		n.m.Regions[name] = r.CopyWindow(win[name])
 	}
 	for step := range n.times {
 		n.times[step] = make([]NodeTiming, len(n.prog.Plan.Tasks))

@@ -285,33 +285,31 @@ func evolveOwners(prog *Program, steps int, visit func(step, li int, t runtime.T
 // updates, or a set the node's window misses; some of these hold for
 // one node only.
 //
-// A region's window is the hull, within the region's index space, of
+// A region's window is the union, within the region's index space, of
 // the color-j subregion of every partition a launch names on it
 // (requirement, private, touched and access-plan partitions) and of
 // every owner the replay passes through. Every set the protocol moves
 // and every element a shard reaches lies in one of those, so the node
-// holds a copy of the window only, never of the whole region.
-func schedule(prog *Program, cfg Config, j int) ([]*launchSched, []finalOwner, map[string]geometry.Interval, error) {
+// holds a copy of exactly those elements: what its tasks touch, not the
+// hull of it and never the whole region.
+func schedule(prog *Program, cfg Config, j int) ([]*launchSched, []finalOwner, map[string]geometry.IndexSet, error) {
 	var scheds []*launchSched
 	var err error
-	win := map[string]geometry.Interval{}
-	widen := func(name string, set geometry.IndexSet) {
-		r := prog.Machine.Regions[name]
-		b, ok := set.Bounds()
-		if r == nil || !ok {
-			return
-		}
-		if b = b.Intersect(geometry.Interval{Lo: 0, Hi: r.Size()}); b.Empty() {
-			return
-		}
-		if w, seen := win[name]; seen {
-			b = geometry.Interval{Lo: min(w.Lo, b.Lo), Hi: max(w.Hi, b.Hi)}
-		}
-		win[name] = b
+	type source struct {
+		region string
+		p      *region.Partition
 	}
-	widenSym := func(name, sym string) {
-		if p := prog.Parts[sym]; p != nil {
-			widen(name, p.Sub(j))
+	seen := map[source]bool{}
+	win := map[string]geometry.IndexSet{}
+	// Most sources repeat a set already held (an owner and the
+	// requirement it came from): those cost one SubsetOf and no copy.
+	widen := func(name string, p *region.Partition) {
+		if p == nil || prog.Machine.Regions[name] == nil || seen[source{name, p}] {
+			return
+		}
+		seen[source{name, p}] = true
+		if set := p.Sub(j); !set.SubsetOf(win[name]) {
+			win[name] = win[name].Union(set)
 		}
 	}
 	final := evolveOwners(prog, cfg.Steps, func(step, li int, t runtime.Task, entry, moved map[sim.FieldKey]*region.Partition) {
@@ -320,16 +318,16 @@ func schedule(prog *Program, cfg Config, j int) ([]*launchSched, []finalOwner, m
 		}
 		for _, owners := range []map[sim.FieldKey]*region.Partition{entry, moved} {
 			for fk, p := range owners {
-				widen(fk.Region, p.Sub(j))
+				widen(fk.Region, p)
 			}
 		}
 		for _, req := range t.Launch.Reqs {
-			widenSym(req.Region, req.Sym)
-			widenSym(req.Region, req.PrivateSym)
-			widenSym(req.Region, req.TouchedSym)
+			widen(req.Region, prog.Parts[req.Sym])
+			widen(req.Region, prog.Parts[req.PrivateSym])
+			widen(req.Region, prog.Parts[req.TouchedSym])
 		}
 		for _, a := range t.Loop.Access {
-			widenSym(a.Region, a.Sym)
+			widen(a.Region, prog.Parts[a.Sym])
 		}
 		sc, lerr := scheduleLaunch(prog.Parts, cfg, j, step, li, t, entry, moved, traffic)
 		if lerr != nil {
@@ -338,6 +336,9 @@ func schedule(prog *Program, cfg Config, j int) ([]*launchSched, []finalOwner, m
 		}
 		scheds = append(scheds, sc)
 	})
+	for name, set := range win {
+		win[name] = set.Intersect(prog.Machine.Regions[name].Space())
+	}
 	if err == nil {
 		err = checkWindows(prog.Parts, j, win, scheds, final)
 	}
@@ -347,8 +348,13 @@ func schedule(prog *Program, cfg Config, j int) ([]*launchSched, []finalOwner, m
 // checkWindows fails on the first set node j's schedule touches outside
 // its window of the set's region: a transfer, a fold's owned part, a
 // merge reach, an access plan's subregion, or a final gather piece.
-func checkWindows(parts map[string]*region.Partition, j int, win map[string]geometry.Interval, scheds []*launchSched, final []finalOwner) error {
-	check := func(name string, set geometry.IndexSet) error { return windowErr(j, name, win[name], set) }
+func checkWindows(parts map[string]*region.Partition, j int, win map[string]geometry.IndexSet, scheds []*launchSched, final []finalOwner) error {
+	check := func(name string, set geometry.IndexSet) error {
+		if !set.SubsetOf(win[name]) {
+			return windowErr(j, name, win[name], set)
+		}
+		return nil
+	}
 	for _, sc := range scheds {
 		for _, list := range [][]transfer{sc.ghostsOut, sc.ghostsIn, sc.backsOut, sc.backsIn} {
 			for _, tr := range list {

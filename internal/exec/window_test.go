@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"autopart/internal/apps/circuit"
+	"autopart/internal/apps/pennant"
+	"autopart/internal/apps/spmv"
 	"autopart/internal/apps/stencil"
 	"autopart/internal/exec"
 	"autopart/internal/geometry"
@@ -21,7 +24,8 @@ import (
 // TestWindowsCoverEveryTouchedSet holds each node's windows to what its
 // run touches: on every builtin at 3 and 8 nodes, every transfer set,
 // fold owned part, merge reach, access-plan subregion and final gather
-// piece of node j lies inside j's window of its region.
+// piece of node j is a subset of the elements j's window of its region
+// holds.
 func TestWindowsCoverEveryTouchedSet(t *testing.T) {
 	for _, app := range appCases(t) {
 		for _, nodes := range []int{3, 8} {
@@ -37,8 +41,7 @@ func TestWindowsCoverEveryTouchedSet(t *testing.T) {
 						t.Fatalf("node %d: %v", j, err)
 					}
 					for _, tc := range touches {
-						w := win[tc.Region]
-						if b, ok := tc.Set.Bounds(); ok && (b.Lo < w.Lo || b.Hi > w.Hi) {
+						if w := win[tc.Region]; !tc.Set.SubsetOf(w) {
 							t.Errorf("node %d: %s: %s.%s lies outside window %s", j, tc.What, tc.Region, tc.Set, w)
 						}
 					}
@@ -49,6 +52,84 @@ func TestWindowsCoverEveryTouchedSet(t *testing.T) {
 				}
 				t.Logf("windows hold %.1f%% of the elements a full copy per node would", 100*float64(held)/float64(whole))
 			})
+		}
+	}
+}
+
+// scaledApp is a builtin at one node count.
+type scaledApp struct {
+	appCase
+	nodes int
+}
+
+// wideApps are exec-wide's four apps at its node counts and sizes
+// (bench/exec.go).
+func wideApps(t *testing.T) []scaledApp {
+	return []scaledApp{
+		{appCase{"stencil", func(n int) (*exec.Program, error) {
+			return stencil.Executable(smallStencil, compiled(t, "stencil", stencil.Source()), n)
+		}}, 128},
+		{appCase{"circuit", func(n int) (*exec.Program, error) {
+			return circuit.Executable(smallCircuit, compiled(t, "circuit", circuit.Source), n, false)
+		}}, 128},
+		{appCase{"spmv", func(n int) (*exec.Program, error) {
+			return spmv.Executable(smallSpmv, compiled(t, "spmv", spmv.Source), n)
+		}}, 128},
+		{appCase{"pennant-h2", func(n int) (*exec.Program, error) {
+			return pennant.Executable(smallPennant, compiled(t, "pennant-h2", pennant.HintSource(2)), n, 2)
+		}}, 64},
+	}
+}
+
+// windowBytes returns, per node, the bytes its windows of prog's regions
+// hold: held elements times the width of each field (8 bytes a scalar or
+// index, 16 a range), and the bytes of one copy of the whole machine.
+func windowBytes(t *testing.T, prog *exec.Program, nodes int) (perNode []int64, machine int64) {
+	t.Helper()
+	width := map[string]int64{}
+	for name, r := range prog.Machine.Regions {
+		for _, f := range r.FieldNames() {
+			if k, _ := r.FieldKindOf(f); k == region.RangeField {
+				width[name] += 16
+			} else {
+				width[name] += 8
+			}
+		}
+		machine += r.Size() * width[name]
+	}
+	perNode = make([]int64, nodes)
+	for j := range perNode {
+		win, _, err := exec.NodeWindows(prog, exec.Config{Nodes: nodes}, j)
+		if err != nil {
+			t.Fatalf("node %d: %v", j, err)
+		}
+		for name, set := range win {
+			perNode[j] += set.Len() * width[name]
+		}
+	}
+	return perNode, machine
+}
+
+// TestNodeStorageUnderOneAndAHalfCopies holds what all nodes together
+// store to at most 1.5 copies of the machine on exec-wide's four apps: a
+// node copies the union of the subregions it touches. A node copying the
+// hull of them stores 18.3 copies on circuit and 7.5 on pennant-h2,
+// whose scattered sets span most of each region.
+func TestNodeStorageUnderOneAndAHalfCopies(t *testing.T) {
+	for _, app := range wideApps(t) {
+		prog, err := app.build(app.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perNode, machine := windowBytes(t, prog, app.nodes)
+		var sum int64
+		for _, b := range perNode {
+			sum += b
+		}
+		copies := float64(sum) / float64(machine)
+		t.Logf("%s on %d nodes: nodes store %.2f machine copies", app.name, app.nodes, copies)
+		if copies > 1.5 {
+			t.Errorf("%s on %d nodes: nodes store %.2f machine copies, want at most 1.5", app.name, app.nodes, copies)
 		}
 	}
 }
@@ -157,4 +238,39 @@ func runFailsBeforeSending(t *testing.T, prog *exec.Program, nodes int) error {
 		t.Errorf("goroutines leaked: %d before the run, %d after", before, after)
 	}
 	return err
+}
+
+// TestWindowBytesPerNodeFlat pins what one node stores at 256 nodes: on
+// weak-scaled circuit and pennant-h2, every node's windows hold at most
+// 2× the machine's bytes per node, at 32 nodes and at 256. A node
+// copying the hull of its scattered sets holds a share of the machine
+// that does not shrink with the node count. Total allocation per node
+// still grows from 32 to 256 nodes, through the end-of-stream fan-in
+// each node receives from every peer; it is logged, not pinned.
+func TestWindowBytesPerNodeFlat(t *testing.T) {
+	const ceiling = 2.0
+	wide := wideApps(t)
+	for _, app := range []appCase{wide[1].appCase, wide[3].appCase} {
+		for _, nodes := range []int{32, 256} {
+			prog, err := app.build(nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perNode, machine := windowBytes(t, prog, nodes)
+			share := float64(machine) / float64(nodes)
+			most := slices.Max(perNode)
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			if _, err := exec.Run(prog, exec.Config{Nodes: nodes}); err != nil {
+				t.Fatal(err)
+			}
+			goruntime.ReadMemStats(&after)
+			t.Logf("%s on %d nodes: largest node window %.1f KB, %.2f× the machine's %.1f KB per node; %.0f KB allocated per node",
+				app.name, nodes, float64(most)/1024, float64(most)/share, share/1024, float64(after.TotalAlloc-before.TotalAlloc)/float64(nodes)/1024)
+			if float64(most) > ceiling*share {
+				t.Errorf("%s on %d nodes: a node's windows hold %d bytes, %.2f× the machine's %.0f bytes per node, want at most %.0f×",
+					app.name, nodes, most, float64(most)/share, share, ceiling)
+			}
+		}
+	}
 }

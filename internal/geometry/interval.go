@@ -155,9 +155,14 @@ func (s IndexSet) Equal(other IndexSet) bool {
 	return true
 }
 
-// SubsetOf reports whether every index of s is also in other.
+// SubsetOf reports whether every index of s is also in other. The walk
+// starts at other's interval holding s's first index, found by binary
+// search, so a small set late in a large one costs little.
 func (s IndexSet) SubsetOf(other IndexSet) bool {
-	j := 0
+	if len(s.ivs) == 0 {
+		return true
+	}
+	j, _ := other.Locate(s.ivs[0].Lo)
 	for _, iv := range s.ivs {
 		for j < len(other.ivs) && other.ivs[j].Hi <= iv.Lo {
 			j++

@@ -16,7 +16,6 @@ package region
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"autopart/internal/geometry"
@@ -52,13 +51,15 @@ func (k FieldKind) String() string {
 
 // Region is a named, indexed collection of structured values over the
 // index space [0, Size). A full region holds every element; a window
-// (see CopyWindow) holds only the elements of one interval of it.
+// (see CopyWindow) holds only the elements of one subset of it, stored
+// densely in ascending order, so that it costs what it holds and not the
+// hull of it.
 type Region struct {
 	name string
 	size int64
-	// window is the part of [0, size) the field slices hold: element k
-	// lives at position k - window.Lo.
-	window  geometry.Interval
+	// window is the part of [0, size) the field slices hold and where:
+	// element k lives at the position window places it at.
+	window  *geometry.Layout
 	scalars map[string][]float64
 	indexes map[string][]int64
 	ranges  map[string][]geometry.Interval
@@ -73,7 +74,7 @@ func New(name string, size int64) *Region {
 	return &Region{
 		name:    name,
 		size:    size,
-		window:  geometry.Interval{Lo: 0, Hi: size},
+		window:  geometry.NewLayout(geometry.Range(0, size)),
 		scalars: map[string][]float64{},
 		indexes: map[string][]int64{},
 		ranges:  map[string][]geometry.Interval{},
@@ -89,19 +90,20 @@ func (r *Region) Size() int64 { return r.size }
 // Space returns the region's index space as a set.
 func (r *Region) Space() geometry.IndexSet { return geometry.Range(0, r.size) }
 
-// Window returns the part of the index space the field slices hold:
-// [0, Size) for a full region. Element k of a field lives at position
-// k - Window().Lo of the slices Scalar, Index and Ranges return.
-func (r *Region) Window() geometry.Interval { return r.window }
+// Window returns the layout of the elements the field slices hold: one
+// interval, [0, Size), for a full region, where element k lives at
+// position k. Element k of a window lives at the position the layout
+// places it at in the slices Scalar, Index and Ranges return.
+func (r *Region) Window() *geometry.Layout { return r.window }
 
 // full reports whether r holds every element of its index space.
-func (r *Region) full() bool { return r.window == geometry.Interval{Lo: 0, Hi: r.size} }
+func (r *Region) full() bool { return r.window.Len() == r.size }
 
 // mustBeFull panics when r is a window: op would index it as if it held
 // every element.
 func (r *Region) mustBeFull(op string) {
 	if !r.full() {
-		panic(fmt.Sprintf("region %s: %s of a window %s", r.name, op, r.window))
+		panic(fmt.Sprintf("region %s: %s of a window %s", r.name, op, r.window.Set()))
 	}
 }
 
@@ -228,27 +230,34 @@ func (r *Region) RangeMap(field string) geometry.MultiMap {
 // CloneData returns a deep copy of a full region (same name, size, and
 // field contents). Used by differential tests that compare sequential and
 // parallel executions of the same program. It panics on a window.
-func (r *Region) CloneData() *Region { return r.CopyWindow(0, r.size) }
+func (r *Region) CloneData() *Region {
+	r.mustBeFull("CloneData")
+	return r.CopyWindow(r.Space())
+}
 
 // CopyWindow returns a region of the same name, size and fields that
-// holds a copy of r's data over [lo, hi) only: a distributed node's
-// instance of the elements it can touch. It panics unless r holds all of
-// [lo, hi).
-func (r *Region) CopyWindow(lo, hi int64) *Region {
-	if lo < r.window.Lo || lo > hi || hi > r.window.Hi {
-		panic(fmt.Sprintf("region %s: window [%d,%d) of a region holding %s", r.name, lo, hi, r.window))
+// holds a copy of r's data over set only: a distributed node's instance
+// of the elements it can touch. It panics unless r holds all of set.
+func (r *Region) CopyWindow(set geometry.IndexSet) *Region {
+	if !set.SubsetOf(r.window.Set()) {
+		panic(fmt.Sprintf("region %s: window %s of a region holding %s", r.name, set, r.window.Set()))
 	}
-	c := New(r.name, r.size)
-	c.window = geometry.Interval{Lo: lo, Hi: hi}
-	from, to := lo-r.window.Lo, hi-r.window.Lo
+	c := &Region{
+		name:    r.name,
+		size:    r.size,
+		window:  geometry.NewLayout(set),
+		scalars: make(map[string][]float64, len(r.scalars)),
+		indexes: make(map[string][]int64, len(r.indexes)),
+		ranges:  make(map[string][]geometry.Interval, len(r.ranges)),
+	}
 	for n, v := range r.scalars {
-		c.scalars[n] = slices.Clone(v[from:to])
+		c.scalars[n], _ = geometry.Gather(v, r.window, set)
 	}
 	for n, v := range r.indexes {
-		c.indexes[n] = slices.Clone(v[from:to])
+		c.indexes[n], _ = geometry.Gather(v, r.window, set)
 	}
 	for n, v := range r.ranges {
-		c.ranges[n] = slices.Clone(v[from:to])
+		c.ranges[n], _ = geometry.Gather(v, r.window, set)
 	}
 	return c
 }
@@ -259,7 +268,7 @@ func (r *Region) CopyWindow(lo, hi int64) *Region {
 func (r *Region) SameData(other *Region) (bool, string) {
 	for _, x := range []*Region{r, other} {
 		if !x.full() {
-			return false, fmt.Sprintf("%s holds only the window %s", x.name, x.window)
+			return false, fmt.Sprintf("%s holds only the window %s", x.name, x.window.Set())
 		}
 	}
 	if r.size != other.size {

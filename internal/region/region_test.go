@@ -1,6 +1,7 @@
 package region
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestCloneAndSameData(t *testing.T) {
 }
 
 // TestCopyWindow checks that a window keeps the region's name, size and
-// fields, holds exactly the copied interval (element k at k-lo), and is
+// fields, holds exactly the copied set densely in ascending order, and is
 // refused by every operation that would index it as a whole region.
 func TestCopyWindow(t *testing.T) {
 	r := New("R", 6)
@@ -147,31 +148,36 @@ func TestCopyWindow(t *testing.T) {
 	for i := range r.Scalar("x") {
 		r.Scalar("x")[i] = float64(i)
 	}
-	w := r.CopyWindow(2, 5)
-	if w.Name() != "R" || w.Size() != 6 || w.Window() != (geometry.Interval{Lo: 2, Hi: 5}) || len(w.FieldNames()) != 3 {
-		t.Fatalf("window: name %s size %d window %s fields %v", w.Name(), w.Size(), w.Window(), w.FieldNames())
+	set := geometry.FromIntervals(geometry.Interval{Lo: 1, Hi: 3}, geometry.Interval{Lo: 4, Hi: 6})
+	w := r.CopyWindow(set)
+	if w.Name() != "R" || w.Size() != 6 || !w.Window().Set().Equal(set) || len(w.FieldNames()) != 3 {
+		t.Fatalf("window: name %s size %d window %s fields %v", w.Name(), w.Size(), w.Window().Set(), w.FieldNames())
 	}
-	if got := w.Scalar("x"); len(got) != 3 || got[0] != 2 || got[2] != 4 {
-		t.Errorf("window scalars = %v, want [2 3 4]", got)
+	if got := w.Scalar("x"); !slices.Equal(got, []float64{1, 2, 4, 5}) {
+		t.Errorf("window scalars = %v, want [1 2 4 5]", got)
+	}
+	if got := len(w.Index("p")) + len(w.Ranges("g")); got != 8 {
+		t.Errorf("window index and range fields hold %d slots, want 8", got)
 	}
 	w.Scalar("x")[0] = 9
-	if r.Scalar("x")[2] != 2 {
+	if r.Scalar("x")[1] != 1 {
 		t.Error("writing the window changed the region it was copied from")
 	}
-	if inner := w.CopyWindow(3, 4); inner.Scalar("x")[0] != 3 {
-		t.Errorf("window of a window = %v, want [3]", inner.Scalar("x"))
+	if inner := w.CopyWindow(geometry.FromSlice([]int64{2, 4})); !slices.Equal(inner.Scalar("x"), []float64{2, 4}) {
+		t.Errorf("window of a window = %v, want [2 4]", inner.Scalar("x"))
 	}
-	if empty := r.CopyWindow(0, 0); len(empty.Index("p")) != 0 {
+	if empty := r.CopyWindow(geometry.EmptySet()); len(empty.Index("p")) != 0 {
 		t.Error("empty window holds elements")
 	}
-	if same, diff := r.SameData(w); same || !strings.Contains(diff, "window [2,5)") {
+	if same, diff := r.SameData(w); same || !strings.Contains(diff, "window {1..2 4..5}") {
 		t.Errorf("SameData(window) = %v, %q; want a refusal naming the window", same, diff)
 	}
 	for name, fn := range map[string]func(){
-		"CloneData":         func() { w.CloneData() },
-		"PointerMap":        func() { w.PointerMap("p") },
-		"RangeMap":          func() { w.RangeMap("g") },
-		"CopyWindow beyond": func() { w.CopyWindow(1, 4) },
+		"CloneData":          func() { w.CloneData() },
+		"PointerMap":         func() { w.PointerMap("p") },
+		"RangeMap":           func() { w.RangeMap("g") },
+		"CopyWindow beyond":  func() { w.CopyWindow(geometry.Range(0, 2)) },
+		"CopyWindow the gap": func() { w.CopyWindow(geometry.Range(2, 5)) },
 	} {
 		func() {
 			defer func() {

@@ -400,7 +400,12 @@ func (b *batch) load(st *ir.Load) (bstep, error) {
 			}
 			ks, state, out := &b.a.i[idx], &b.a.state[dst], &b.a.f[dst]
 			for _, l := range sel {
-				state[l], out[l] = scalarSlot, f.scalar(ks[l])
+				if f.wScalar == nil {
+					out[l] = f.scalars[f.data.Pos(ks[l])]
+				} else {
+					out[l] = f.scalar(ks[l])
+				}
+				state[l] = scalarSlot
 			}
 			return true
 		}, nil
@@ -411,7 +416,13 @@ func (b *batch) load(st *ir.Load) (bstep, error) {
 		}
 		ks, state, out := &b.a.i[idx], &b.a.state[dst], &b.a.i[dst]
 		for _, l := range sel {
-			if v := f.index(ks[l]); v < 0 {
+			var v int64
+			if f.wIndex == nil {
+				v = f.indexes[f.data.Pos(ks[l])]
+			} else {
+				v = f.index(ks[l])
+			}
+			if v < 0 {
 				state[l] = invalidSlot
 			} else {
 				state[l], out[l] = indexSlot, v

@@ -65,26 +65,32 @@ func refill(m *ir.Machine, seed int64) *ir.Machine {
 func sameShard(m *ir.Machine, parts map[string]*region.Partition, pl *rewrite.ParallelLoop, color int) string {
 	got, gotErr := rewrite.RunShard(m, parts, pl, color)
 	want, wantErr := rewrite.RunShardElements(m, parts, pl, color)
+	return sameResult("element-at-a-time", got, want, gotErr, wantErr)
+}
+
+// sameResult compares two shard results, bit for bit, and their errors
+// by text; ref names where want came from.
+func sameResult(ref string, got, want *rewrite.ShardResult, gotErr, wantErr error) string {
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-			return fmt.Sprintf("error %v, element-at-a-time %v", gotErr, wantErr)
+			return fmt.Sprintf("error %v, %s %v", gotErr, ref, wantErr)
 		}
 		return ""
 	}
-	if d := sameRuns("scalars", got.Scalars, want.Scalars, func(r *rewrite.Run[float64]) [][2]uint64 { return runBits(r, math.Float64bits) }); d != "" {
+	if d := sameRuns(ref, "scalars", got.Scalars, want.Scalars, func(r *rewrite.Run[float64]) [][2]uint64 { return runBits(r, math.Float64bits) }); d != "" {
 		return d
 	}
-	if d := sameRuns("indexes", got.Indexes, want.Indexes, func(r *rewrite.Run[int64]) [][2]uint64 {
+	if d := sameRuns(ref, "indexes", got.Indexes, want.Indexes, func(r *rewrite.Run[int64]) [][2]uint64 {
 		return runBits(r, func(v int64) uint64 { return uint64(v) })
 	}); d != "" {
 		return d
 	}
 	for k, w := range want.Reductions {
 		if g := got.Reductions[k]; g != nil && g.Op != w.Op {
-			return fmt.Sprintf("reductions %s.%s: operator %s, element-at-a-time %s", k.Region, k.Field, g.Op, w.Op)
+			return fmt.Sprintf("reductions %s.%s: operator %s, %s %s", k.Region, k.Field, g.Op, ref, w.Op)
 		}
 	}
-	return sameRuns("reductions", got.Reductions, want.Reductions, func(b *rewrite.ReduceBuffer) [][2]uint64 {
+	return sameRuns(ref, "reductions", got.Reductions, want.Reductions, func(b *rewrite.ReduceBuffer) [][2]uint64 {
 		return runBits(&b.Run, math.Float64bits)
 	})
 }
@@ -101,9 +107,9 @@ func runBits[V float64 | int64](r *rewrite.Run[V], bits func(V) uint64) [][2]uin
 	return out
 }
 
-func sameRuns[R any](what string, got, want map[rewrite.FieldKey]R, bits func(R) [][2]uint64) string {
+func sameRuns[R any](ref, what string, got, want map[rewrite.FieldKey]R, bits func(R) [][2]uint64) string {
 	if len(got) != len(want) {
-		return fmt.Sprintf("%s: %d fields, element-at-a-time %d", what, len(got), len(want))
+		return fmt.Sprintf("%s: %d fields, %s %d", what, len(got), ref, len(want))
 	}
 	for k, w := range want {
 		g, ok := got[k]
@@ -112,12 +118,12 @@ func sameRuns[R any](what string, got, want map[rewrite.FieldKey]R, bits func(R)
 		}
 		gb, wb := bits(g), bits(w)
 		if len(gb) != len(wb) {
-			return fmt.Sprintf("%s %s.%s: %d elements, element-at-a-time %d", what, k.Region, k.Field, len(gb), len(wb))
+			return fmt.Sprintf("%s %s.%s: %d elements, %s %d", what, k.Region, k.Field, len(gb), ref, len(wb))
 		}
 		for i := range wb {
 			if gb[i] != wb[i] {
-				return fmt.Sprintf("%s %s.%s: element %d holds bits %#x, element-at-a-time element %d holds %#x",
-					what, k.Region, k.Field, gb[i][0], gb[i][1], wb[i][0], wb[i][1])
+				return fmt.Sprintf("%s %s.%s: element %d holds bits %#x, %s element %d holds %#x",
+					what, k.Region, k.Field, gb[i][0], gb[i][1], ref, wb[i][0], wb[i][1])
 			}
 		}
 	}
@@ -146,17 +152,16 @@ func sameProgram(t *testing.T, name string, prog *exec.Program, seed int64) (bat
 	return batched, shards
 }
 
-// TestRunShardBatchedMatchesElements runs every shard of every builtin
-// program at the small configurations on 3 nodes both ways.
-func TestRunShardBatchedMatchesElements(t *testing.T) {
-	build := func(src string, mk func(*autopart.Compiled) (*exec.Program, error)) (*exec.Program, error) {
-		c, err := autopart.Compile(src, autopart.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return mk(c)
-	}
-	const nodes = 3
+// builtin is one builtin program, made executable.
+type builtin struct {
+	name string
+	prog *exec.Program
+}
+
+// builtins makes every builtin program executable at the small
+// configurations on nodes nodes.
+func builtins(t *testing.T, nodes int) []builtin {
+	t.Helper()
 	small := circuit.Config{WiresPerCluster: 200, NodesPerCluster: 100, SharedFraction: 0.02, CrossFraction: 0.20}
 	apps := []struct {
 		name  string
@@ -185,23 +190,25 @@ func TestRunShardBatchedMatchesElements(t *testing.T) {
 			return pennant.Executable(pennant.Config{W: 16, ZonesPerPiece: 128, Jitter: 16}, c, nodes, 2)
 		}},
 	}
+	out := make([]builtin, len(apps))
 	for i, a := range apps {
-		prog, err := build(a.src, a.build)
+		c, err := autopart.Compile(a.src, autopart.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", a.name, err)
 		}
-		batched, shards := sameProgram(t, a.name, prog, int64(i))
-		t.Logf("%s: %d of %d shards batched", a.name, batched, shards)
-		if a.name != "spmv" && batched == 0 {
-			t.Errorf("%s: no shard ran batched", a.name)
+		prog, err := a.build(c)
+		if err != nil {
+			t.Fatalf("%s: %v", a.name, err)
 		}
+		out[i] = builtin{a.name, prog}
 	}
+	return out
 }
 
-// TestRunShardBatchedMatchesElementsGenerated runs every shard of the
-// first step of gen.Small seeds 0–399 both ways.
-func TestRunShardBatchedMatchesElementsGenerated(t *testing.T) {
-	batched, shards := 0, 0
+// generated makes the first step of each gen.Small seed in [0, 400) that
+// compiles executable, and calls fn with it.
+func generated(t *testing.T, fn func(seed int64, prog *exec.Program)) {
+	t.Helper()
 	for seed := int64(0); seed < 400; seed++ {
 		sc := gen.Generate(seed, gen.Small)
 		c, err := autopart.Compile(sc.Src, autopart.Options{})
@@ -216,10 +223,30 @@ func TestRunShardBatchedMatchesElementsGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		prog := &exec.Program{Machine: m, Plan: auto.Plan, Parts: auto.Parts, Owners: owners}
+		fn(seed, &exec.Program{Machine: m, Plan: auto.Plan, Parts: auto.Parts, Owners: owners})
+	}
+}
+
+// TestRunShardBatchedMatchesElements runs every shard of every builtin
+// program at the small configurations on 3 nodes both ways.
+func TestRunShardBatchedMatchesElements(t *testing.T) {
+	for i, a := range builtins(t, 3) {
+		batched, shards := sameProgram(t, a.name, a.prog, int64(i))
+		t.Logf("%s: %d of %d shards batched", a.name, batched, shards)
+		if a.name != "spmv" && batched == 0 {
+			t.Errorf("%s: no shard ran batched", a.name)
+		}
+	}
+}
+
+// TestRunShardBatchedMatchesElementsGenerated runs every shard of the
+// first step of gen.Small seeds 0–399 both ways.
+func TestRunShardBatchedMatchesElementsGenerated(t *testing.T) {
+	batched, shards := 0, 0
+	generated(t, func(seed int64, prog *exec.Program) {
 		b, n := sameProgram(t, fmt.Sprintf("seed %d", seed), prog, seed)
 		batched, shards = batched+b, shards+n
-	}
+	})
 	t.Logf("%d of %d shards batched", batched, shards)
 	if batched == 0 {
 		t.Error("no shard ran batched")

@@ -41,7 +41,8 @@ func TestMergeShardReductionsOrder(t *testing.T) {
 				if ivs == nil {
 					continue
 				}
-				buf := &ReduceBuffer{Op: op, Run: *newRun[float64](newLayout(geometry.FromIntervals(ivs...)))}
+				at := geometry.NewLayout(geometry.FromIntervals(ivs...)).Cursor()
+				buf := &ReduceBuffer{Op: op, Run: *newRun[float64](&at)}
 				for _, iv := range ivs {
 					for k := iv.Lo; k < iv.Hi; k++ {
 						v := vals[next%len(vals)]

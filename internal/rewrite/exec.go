@@ -14,56 +14,6 @@ import (
 // FieldKey identifies a region field.
 type FieldKey struct{ Region, Field string }
 
-// layout places the elements of an index set at dense positions in
-// ascending order: interval i of the set starts at position off[i].
-// Lookups try the interval last hit, [lo, hi) at position lo-shift,
-// before a binary search.
-type layout struct {
-	set           geometry.IndexSet
-	ivs           []geometry.Interval
-	off           []int64 // one entry per interval, then the set's size
-	lo, hi, shift int64
-}
-
-func newLayout(set geometry.IndexSet) *layout {
-	ivs := set.Intervals()
-	off := make([]int64, len(ivs)+1)
-	for i, iv := range ivs {
-		off[i+1] = off[i] + iv.Len()
-	}
-	return &layout{set: set, ivs: ivs, off: off}
-}
-
-// pos returns idx's position, or -1 if idx is not in the set.
-func (l *layout) pos(idx int64) int64 {
-	if idx >= l.lo && idx < l.hi {
-		return idx - l.shift
-	}
-	return l.seek(idx)
-}
-
-func (l *layout) seek(idx int64) int64 {
-	i, ok := search(l.ivs, idx)
-	if !ok {
-		return -1
-	}
-	l.lo, l.hi, l.shift = l.ivs[i].Lo, l.ivs[i].Hi, l.ivs[i].Lo-l.off[i]
-	return idx - l.shift
-}
-
-// search returns the interval of ivs, sorted and disjoint, holding idx.
-func search(ivs []geometry.Interval, idx int64) (int, bool) {
-	lo, hi := 0, len(ivs)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); ivs[mid].Hi > idx {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo, lo < len(ivs) && ivs[lo].Lo <= idx
-}
-
 // Run is one field's values over an index set, held densely in the
 // set's ascending order, with a bitmap of the elements that hold one. A
 // shard's private writes to a field and its reduction buffer for a
@@ -71,19 +21,19 @@ func search(ivs []geometry.Interval, idx int64) (int, bool) {
 // field's store accesses: every element a store's containment check
 // admits lies there, so an element outside the run was never written.
 type Run[V float64 | int64] struct {
-	at   *layout
+	at   *geometry.Cursor
 	vals []V
 	bits []uint64
 }
 
-func newRun[V float64 | int64](at *layout) *Run[V] {
-	n := at.off[len(at.ivs)]
+func newRun[V float64 | int64](at *geometry.Cursor) *Run[V] {
+	n := at.Layout().Len()
 	return &Run[V]{at: at, vals: make([]V, n), bits: make([]uint64, (n+63)/64)}
 }
 
 // Get returns the value held at idx, and false if there is none.
 func (r *Run[V]) Get(idx int64) (V, bool) {
-	if p := r.at.pos(idx); p >= 0 && r.has(p) {
+	if p := r.at.Pos(idx); p >= 0 && r.has(p) {
 		return r.vals[p], true
 	}
 	var zero V
@@ -91,7 +41,7 @@ func (r *Run[V]) Get(idx int64) (V, bool) {
 }
 
 // put stores v at idx, which must lie in the run's domain.
-func (r *Run[V]) put(idx int64, v V) { r.set(r.at.pos(idx), v) }
+func (r *Run[V]) put(idx int64, v V) { r.set(r.at.Pos(idx), v) }
 
 // has reports whether position p holds a value.
 func (r *Run[V]) has(p int64) bool { return r.bits[p>>6]&(1<<(p&63)) != 0 }
@@ -103,14 +53,15 @@ func (r *Run[V]) set(p int64, v V) {
 }
 
 // domain returns the elements the run can hold a value for.
-func (r *Run[V]) domain() geometry.IndexSet { return r.at.set }
+func (r *Run[V]) domain() geometry.IndexSet { return r.at.Layout().Set() }
 
 // EachRun calls fn on every maximal interval [lo, hi) of elements that
 // hold a value, ascending, with their values; it stops when fn returns
 // false.
 func (r *Run[V]) EachRun(fn func(lo, hi int64, vals []V) bool) {
-	for i, iv := range r.at.ivs {
-		start, end := r.at.off[i], r.at.off[i+1]
+	l := r.at.Layout()
+	for i, iv := range l.Intervals() {
+		start, end := l.Start(i), l.Start(i+1)
 		for p := r.next(start, end, true); p < end; {
 			q := r.next(p, end, false)
 			if !fn(iv.Lo+p-start, iv.Lo+q-start, r.vals[p:q]) {
@@ -200,19 +151,34 @@ func RunLaunch(m *ir.Machine, parts map[string]*region.Partition, pl *ParallelLo
 func FlushShard(m *ir.Machine, res *ShardResult) {
 	for k, w := range res.Scalars {
 		r := m.Regions[k.Region]
-		flushRun(w, r.Scalar(k.Field), r.Window().Lo)
+		flushRun(k, w, r.Scalar(k.Field), r.Window())
 	}
 	for k, w := range res.Indexes {
 		r := m.Regions[k.Region]
-		flushRun(w, r.Index(k.Field), r.Window().Lo)
+		flushRun(k, w, r.Index(k.Field), r.Window())
 	}
 }
 
-func flushRun[V float64 | int64](w *Run[V], data []V, base int64) {
+// flushRun copies w's values into data, which holds the elements win
+// places. Each run of values lies in one held interval, so it is placed
+// once.
+func flushRun[V float64 | int64](k FieldKey, w *Run[V], data []V, win *geometry.Layout) {
+	at := win.Cursor()
 	w.EachRun(func(lo, hi int64, vals []V) bool {
-		copy(data[lo-base:hi-base], vals)
+		copy(data[span(k, &at, geometry.Interval{Lo: lo, Hi: hi}):], vals)
 		return true
 	})
+}
+
+// span returns the position of iv's first element in at's layout, and
+// panics if it does not hold all of iv: a write the containment checks
+// admitted outside a window means the window misses a subregion.
+func span(k FieldKey, at *geometry.Cursor, iv geometry.Interval) int64 {
+	p, ok := at.Span(iv)
+	if !ok {
+		panic(fmt.Sprintf("rewrite: %s.%s%s lies outside the window %s", k.Region, k.Field, iv, at.Layout().Set()))
+	}
+	return p
 }
 
 // MergeShardReductions folds per-color reduction buffers into the live
@@ -266,16 +232,16 @@ func MergeShardReductions(m *ir.Machine, perColor []map[FieldKey]*ReduceBuffer) 
 // element. That is the order bit identity depends on.
 type Fold struct {
 	op   string
-	at   *layout
+	at   geometry.Cursor
 	acc  []float64
 	from []int32 // per element: 1 + the last color added, 0 for none
 }
 
 // NewFold returns an empty fold under op over set.
 func NewFold(op string, set geometry.IndexSet) *Fold {
-	at := newLayout(set)
-	n := at.off[len(at.ivs)]
-	return &Fold{op: op, at: at, acc: make([]float64, n), from: make([]int32, n)}
+	l := geometry.NewLayout(set)
+	n := l.Len()
+	return &Fold{op: op, at: l.Cursor(), acc: make([]float64, n), from: make([]int32, n)}
 }
 
 // Add folds color's contribution v to element idx, and ignores an
@@ -283,7 +249,7 @@ func NewFold(op string, set geometry.IndexSet) *Fold {
 // A second contribution of one color to one element is dropped: it is
 // the same value, packed twice from the color's one shard buffer.
 func (f *Fold) Add(color int, idx int64, v float64) {
-	p := f.at.pos(idx)
+	p := f.at.Pos(idx)
 	if p < 0 {
 		return
 	}
@@ -307,14 +273,17 @@ func (f *Fold) AddBuffer(color int, buf *ReduceBuffer) {
 	})
 }
 
-// Apply folds each element's total into r's field, ascending.
+// Apply folds each element's total into r's field, ascending. r must
+// hold the fold's whole set; each of its intervals lies in one held
+// interval and is placed once.
 func (f *Fold) Apply(r *region.Region, field string) {
-	data, base := r.Scalar(field), r.Window().Lo
-	for i, iv := range f.at.ivs {
-		for p := f.at.off[i]; p < f.at.off[i+1]; p++ {
+	data, win, l := r.Scalar(field), r.Window().Cursor(), f.at.Layout()
+	for i, iv := range l.Intervals() {
+		start, end := l.Start(i), l.Start(i+1)
+		base := span(FieldKey{r.Name(), field}, &win, iv) - start
+		for p := start; p < end; p++ {
 			if f.from[p] != 0 {
-				k := iv.Lo + p - f.at.off[i] - base
-				data[k] = ir.ApplyReduce(f.op, data[k], f.acc[p])
+				data[base+p] = ir.ApplyReduce(f.op, data[base+p], f.acc[p])
 			}
 		}
 	}
@@ -484,19 +453,19 @@ func (s *shard) coerce(slot int) (float64, error) {
 // naming it: its backing slice and the task's private writes and
 // reduction buffer, dense runs over the union of stores (this color's
 // subregions of the field's store accesses), created on first use and
-// entered in the result. Element idx lives at position idx-base of the
-// backing slice, base being the region's window origin; every access
-// has passed the containment check against a subregion the window
-// covers.
+// entered in the result. Element idx lives at position data.Pos(idx) of
+// the backing slice: data is the shard's own cursor on the region's
+// window, never shared with another shard, and every access has passed
+// the containment check against a subregion the window holds.
 type field struct {
 	key     FieldKey
 	kind    region.FieldKind
-	base    int64
+	data    geometry.Cursor
 	scalars []float64
 	indexes []int64
 	ranges  []geometry.Interval
 	stores  []geometry.IndexSet
-	at      *layout // over the union of stores, made on first write
+	at      geometry.Cursor // over the union of stores, made on first write
 	wScalar *Run[float64]
 	wIndex  *Run[int64]
 	buf     *ReduceBuffer
@@ -515,7 +484,7 @@ func (s *shard) field(st ir.Stmt, regionName, name string) (*field, error) {
 	if !ok {
 		return nil, fmt.Errorf("%s: region %s has no field %s", st, regionName, name)
 	}
-	f := &field{key: k, kind: kind, base: reg.Window().Lo}
+	f := &field{key: k, kind: kind, data: reg.Window().Cursor()}
 	switch kind {
 	case region.ScalarField:
 		f.scalars = reg.Scalar(name)
@@ -528,41 +497,33 @@ func (s *shard) field(st ir.Stmt, regionName, name string) (*field, error) {
 	return f, nil
 }
 
-// Reads hit the task's own writes first, then the machine's data.
+// Reads hit the task's own writes first, then the machine's data. The
+// loads spell out the case of a field the task has not written, so that
+// the cursor lookup inlines there.
 func (f *field) scalar(idx int64) float64 {
-	if f.wScalar == nil {
-		return f.scalars[idx-f.base]
+	if f.wScalar != nil {
+		if v, ok := f.wScalar.Get(idx); ok {
+			return v
+		}
 	}
-	return f.writtenScalar(idx)
-}
-
-func (f *field) writtenScalar(idx int64) float64 {
-	if v, ok := f.wScalar.Get(idx); ok {
-		return v
-	}
-	return f.scalars[idx-f.base]
+	return f.scalars[f.data.Pos(idx)]
 }
 
 func (f *field) index(idx int64) int64 {
-	if f.wIndex == nil {
-		return f.indexes[idx-f.base]
+	if f.wIndex != nil {
+		if v, ok := f.wIndex.Get(idx); ok {
+			return v
+		}
 	}
-	return f.writtenIndex(idx)
+	return f.indexes[f.data.Pos(idx)]
 }
 
-func (f *field) writtenIndex(idx int64) int64 {
-	if v, ok := f.wIndex.Get(idx); ok {
-		return v
+// layout returns the cursor of f's runs, which they share.
+func (f *field) layout() *geometry.Cursor {
+	if f.at.Layout() == nil {
+		f.at = geometry.NewLayout(geometry.UnionAll(f.stores)).Cursor()
 	}
-	return f.indexes[idx-f.base]
-}
-
-// layout returns the layout of f's runs.
-func (f *field) layout() *layout {
-	if f.at == nil {
-		f.at = newLayout(geometry.UnionAll(f.stores))
-	}
-	return f.at
+	return &f.at
 }
 
 // The runs of f's private writes and reduction buffer, made on first use.
@@ -597,10 +558,12 @@ func (s *shard) update(f *field, op byte, idx int64, v float64) {
 	if w == nil {
 		w = s.scalarRun(f)
 	}
-	p := w.at.pos(idx)
-	old := f.scalars[idx-f.base]
+	p := w.at.Pos(idx)
+	var old float64
 	if w.has(p) {
 		old = w.vals[p]
+	} else {
+		old = f.scalars[f.data.Pos(idx)]
 	}
 	w.set(p, reduce(op, old, v))
 }
@@ -655,10 +618,9 @@ func (a *access) contains(idx int64) bool {
 }
 
 func (a *access) seek(idx int64) bool {
-	ivs := a.sub.Intervals()
-	i, ok := search(ivs, idx)
+	i, ok := a.sub.Locate(idx)
 	if ok {
-		a.last = ivs[i]
+		a.last = a.sub.Intervals()[i]
 	}
 	return ok
 }
@@ -826,7 +788,12 @@ func (s *shard) load(st *ir.Load) (step, error) {
 			if err != nil {
 				return err
 			}
-			s.state[dst], s.f[dst] = scalarSlot, f.scalar(k)
+			if f.wScalar == nil {
+				s.f[dst] = f.scalars[f.data.Pos(k)]
+			} else {
+				s.f[dst] = f.scalar(k)
+			}
+			s.state[dst] = scalarSlot
 			return nil
 		}, nil
 	}
@@ -835,7 +802,13 @@ func (s *shard) load(st *ir.Load) (step, error) {
 		if err != nil {
 			return err
 		}
-		if v := f.index(k); v < 0 {
+		var v int64
+		if f.wIndex == nil {
+			v = f.indexes[f.data.Pos(k)]
+		} else {
+			v = f.index(k)
+		}
+		if v < 0 {
 			s.state[dst] = invalidSlot
 		} else {
 			s.state[dst], s.i[dst] = indexSlot, v
@@ -877,7 +850,7 @@ func (s *shard) contribute(f *field, op lang.ReduceOp, code byte, ident float64,
 	if b == nil {
 		b = s.reduceBuffer(f, op)
 	}
-	p := b.at.pos(idx)
+	p := b.at.Pos(idx)
 	old := ident
 	if b.has(p) {
 		old = b.vals[p]
@@ -962,7 +935,7 @@ func (s *shard) inner(st *ir.Inner) (step, error) {
 		if err != nil {
 			return err
 		}
-		iv := f.ranges[k-f.base]
+		iv := f.ranges[f.data.Pos(k)]
 		for j := iv.Lo; j < iv.Hi; j++ {
 			s.state[dst], s.i[dst] = indexSlot, j
 			if err := run(body); err != nil {
