@@ -190,16 +190,10 @@ func serveConn(conn net.Conn, opts WorkerOptions) error {
 	mesh = m
 	meshMu.Unlock()
 
-	// teardown releases the mesh on every exit path. RunNode's receiver
-	// consumes the inbox when it runs; the drain goroutine covers paths
-	// where it never did (it exits as soon as the aborted streams EOF).
+	// teardown releases the mesh on every exit path.
 	teardown := func() {
 		m.Abort()
 		m.CloseSend(id)
-		go func() {
-			for range m.Inbox(id) {
-			}
-		}()
 		m.Close()
 	}
 

@@ -24,13 +24,14 @@ import (
 //
 // Send keeps the executor's never-blocks contract by pushing onto an
 // elastic queue per peer, drained by a flush-before-blocking writer.
-// Failures latch into Err; Abort hard-closes every stream so a node
-// blocked in a mailbox take fails fast instead of waiting out a dead
-// peer.
+// Each inbound stream's reader puts its frames straight into the node's
+// mailbox and marks its sender's end when the stream ends. Failures
+// latch into Err; Abort hard-closes every stream so a node blocked in a
+// mailbox take fails fast instead of waiting out a dead peer.
 type Mesh struct {
 	self  int
 	nodes int
-	inbox *queue
+	mb    *mailbox
 	// sends[to] feeds the peer's writer goroutine (nil for self).
 	sends []*queue
 	hook  func(to, step, launch int)
@@ -88,16 +89,16 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	m := &Mesh{
 		self:  cfg.Self,
 		nodes: cfg.Nodes,
-		inbox: newInbox(cfg.Nodes - 1),
+		mb:    newMailbox(newEnds(cfg.Nodes, cfg.Nodes-1)),
 		sends: make([]*queue, cfg.Nodes),
 		hook:  cfg.SendHook,
 		ln:    cfg.Listener,
 		seen:  make([]bool, cfg.Nodes),
 	}
 
-	// Accept n-1 inbound streams; each starts a reader that demuxes
-	// frames into the inbox (the preamble identifies the sender, so
-	// accept order is irrelevant).
+	// Accept n-1 inbound streams; each starts a reader that puts frames
+	// into the mailbox (the preamble identifies the sender, so accept
+	// order is irrelevant).
 	for i := 0; i < cfg.Nodes-1; i++ {
 		m.wg.Add(1)
 	}
@@ -109,7 +110,7 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 			if err != nil {
 				m.fail(fmt.Errorf("exec: mesh: accept at node %d: %w", cfg.Self, err))
 				for ; i < cfg.Nodes-1; i++ {
-					m.inbox.senderEOF(-1)
+					m.mb.ends.end(-1)
 					m.wg.Done()
 				}
 				return
@@ -197,7 +198,7 @@ func (m *Mesh) Err() error {
 }
 
 // Abort hard-closes the listener and every stream. Readers fail and
-// mark their senders dead, so a node blocked in a mailbox take errors
+// mark their senders' ends, so a node blocked in a mailbox take errors
 // out promptly; writers drain to /dev/null. Safe to call from any
 // goroutine, more than once.
 func (m *Mesh) Abort() {
@@ -302,15 +303,15 @@ func (m *Mesh) claim(from int) error {
 }
 
 // readLoop verifies one inbound stream's preamble, then decodes frames
-// into the inbox until EOF. Only the three coherence-protocol kinds may
-// follow the preamble, and each is stamped with the sender the hello
-// established, so a stream can neither speak for another node nor
-// inject the transport's own sentinels. A stream that dies before a
-// valid hello reports an anonymous EOF (from = -1).
+// into the mailbox until EOF, and marks the sender's end. Only the three
+// coherence-protocol kinds may follow the preamble, and each is stamped
+// with the sender the hello established, so a stream can neither speak
+// for another node nor end another node's stream. A stream that dies
+// before a valid hello ends anonymously (from = -1).
 func (m *Mesh) readLoop(conn net.Conn) {
 	defer m.wg.Done()
 	from := -1
-	defer func() { m.inbox.senderEOF(from) }()
+	defer func() { m.mb.ends.end(from) }()
 	r := bufio.NewReader(conn)
 	v, err := r.ReadByte()
 	if err != nil {
@@ -345,7 +346,7 @@ func (m *Mesh) readLoop(conn net.Conn) {
 			return
 		}
 		msg.from = from
-		m.inbox.push(msg)
+		m.mb.put(msg)
 	}
 }
 
@@ -358,12 +359,12 @@ func (m *Mesh) Send(from, to int, msg message) {
 	m.sends[to].push(msg)
 }
 
-// Inbox implements Transport; only the mesh's own node has one.
-func (m *Mesh) Inbox(to int) <-chan message {
+// Mailbox implements Transport; only the mesh's own node has one.
+func (m *Mesh) Mailbox(to int) *mailbox {
 	if to != m.self {
-		panic(fmt.Sprintf("exec: mesh: node %d asked for node %d's inbox", m.self, to))
+		panic(fmt.Sprintf("exec: mesh: node %d asked for node %d's mailbox", m.self, to))
 	}
-	return m.inbox.out
+	return m.mb
 }
 
 // CloseSend marks the outbound queues done; writers drain, flush, and
@@ -432,7 +433,7 @@ func TCPTransport() TransportFactory {
 
 func (t *tcpTransport) Send(from, to int, msg message) { t.meshes[from].Send(from, to, msg) }
 
-func (t *tcpTransport) Inbox(to int) <-chan message { return t.meshes[to].Inbox(to) }
+func (t *tcpTransport) Mailbox(to int) *mailbox { return t.meshes[to].Mailbox(to) }
 
 func (t *tcpTransport) CloseSend(from int) { t.meshes[from].CloseSend(from) }
 
@@ -447,7 +448,7 @@ func (t *tcpTransport) Err() error {
 }
 
 // Close waits for every mesh's stream goroutines, then releases its
-// sockets. Run calls it after all inboxes have drained.
+// sockets. Run calls it after every mailbox has drained.
 func (t *tcpTransport) Close() error {
 	for _, m := range t.meshes {
 		m.Close()

@@ -76,48 +76,69 @@ func rogueStream(t *testing.T, addr string, frames ...message) {
 	}
 }
 
-func nextDelivery(t *testing.T, m *Mesh) message {
+// waitEnd waits for an end mark of node 0's mailbox to close.
+func waitEnd(t *testing.T, c chan struct{}, what string) {
 	t.Helper()
 	select {
-	case msg, ok := <-m.Inbox(0):
-		if !ok {
-			t.Fatal("inbox closed early")
-		}
-		return msg
+	case <-c:
 	case <-time.After(10 * time.Second):
-		t.Fatal("no delivery within 10s")
+		t.Fatalf("%s not marked within 10s", what)
 	}
-	panic("unreachable")
+}
+
+// noneFrom2 fails if anything in node 0's mailbox is attributed to node
+// 2: a delivery, or its end of stream.
+func noneFrom2(t *testing.T, mb *mailbox) {
+	t.Helper()
+	if closed(mb.ends.gone[2]) {
+		t.Fatal("node 2's stream was marked ended")
+	}
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	for k := range mb.arrived {
+		if k.from == 2 {
+			t.Fatalf("delivery %s attributed to node 2", k)
+		}
+	}
 }
 
 // TestMeshStreamFramesAreAuthenticated is the regression test for
 // frames being trusted to name their own sender: a stream whose hello
 // said "node 1" sends a ghost frame stamped from=2 and then a forged
-// eof sentinel for node 2. The ghost must be delivered as node 1's, the
-// sentinel must end the stream with a named error, and nothing may ever
-// be attributed to node 2 (RunNode would mark the wrong peer dead and
-// survivors would blame it).
+// frame for node 2 that may not follow a preamble — kind 4 (the end of
+// stream sentinel of earlier protocol builds), a second hello, or an
+// unknown kind. The ghost must be delivered as node 1's, the forged
+// frame must end node 1's stream with a named error, and nothing may
+// ever be attributed to node 2 (survivors would blame the wrong peer).
 func TestMeshStreamFramesAreAuthenticated(t *testing.T) {
-	for _, forged := range []message{
-		{kind: eofMsg, from: 2},
-		{kind: helloMsg, from: 2},
-		{kind: msgKind(99), from: 2},
-	} {
-		t.Run(forged.kind.String(), func(t *testing.T) {
+	for _, forged := range []struct {
+		name string
+		kind msgKind
+	}{{"eof", msgKind(4)}, {"hello", helloMsg}, {"msgKind(99)", msgKind(99)}} {
+		t.Run(forged.name, func(t *testing.T) {
 			m, addr := rogueTarget(t)
 			ghost := message{
 				kind: ghostMsg, from: 2, step: 1, launch: 2, req: 3, region: "cells", field: "rho",
 				set: geometry.FromIntervals(geometry.Interval{Lo: 0, Hi: 2}), scalars: []float64{1, 2},
 			}
-			rogueStream(t, addr, message{kind: helloMsg, from: 1}, ghost, forged, ghost)
+			rogueStream(t, addr, message{kind: helloMsg, from: 1}, ghost, message{kind: forged.kind, from: 2}, ghost)
 
-			if got := nextDelivery(t, m); got.kind != ghostMsg || got.from != 1 {
-				t.Fatalf("first delivery is %s from node %d, want the ghost attributed to the stream's node 1", got.kind, got.from)
+			mb := m.Mailbox(0)
+			// The stream ends at the forged frame: node 1's end is marked
+			// after its ghost, and the ghost behind the forged frame is
+			// never read.
+			waitEnd(t, mb.ends.gone[1], "node 1's end of stream")
+			k := keyOf(&ghost)
+			k.from = 1
+			if got, err := mb.take(k); err != nil || got.from != 1 {
+				t.Fatalf("take of the ghost as node 1's: from %d, %v", got.from, err)
 			}
-			// The stream ends at the forged frame: node 1's EOF follows, and
-			// the ghost behind it is never read.
-			if got := nextDelivery(t, m); got.kind != eofMsg || got.from != 1 {
-				t.Fatalf("second delivery is %s from node %d, want node 1's end of stream", got.kind, got.from)
+			if err := mb.leftoverErr(); err != nil {
+				t.Fatalf("after the ghost: %v", err)
+			}
+			noneFrom2(t, mb)
+			if closed(mb.ends.lost) {
+				t.Fatal("the stream ended anonymously, want node 1's end")
 			}
 			if err := m.Err(); !errors.Is(err, errStreamFrame) {
 				t.Fatalf("Err() = %v, want errStreamFrame", err)
@@ -129,7 +150,7 @@ func TestMeshStreamFramesAreAuthenticated(t *testing.T) {
 // TestMeshStreamHelloIsValidated: a hello may only name one of this
 // node's peers, once. Anything else ends the stream anonymously (the
 // claimed identity is exactly what cannot be trusted) with a named
-// error.
+// error, and nothing the stream sent is delivered.
 func TestMeshStreamHelloIsValidated(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -143,19 +164,23 @@ func TestMeshStreamHelloIsValidated(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, addr := rogueTarget(t)
+			mb := m.Mailbox(0)
 			if tc.first != nil {
 				rogueStream(t, addr, tc.first...)
-				if got := nextDelivery(t, m); got.kind != eofMsg || got.from != 1 {
-					t.Fatalf("well-behaved stream ended with %s from node %d, want node 1's end of stream", got.kind, got.from)
+				waitEnd(t, mb.ends.gone[1], "the well-behaved stream's end")
+				if closed(mb.ends.lost) {
+					t.Fatal("the well-behaved stream ended anonymously")
 				}
 				if err := m.Err(); err != nil {
 					t.Fatalf("well-behaved stream latched %v", err)
 				}
 			}
 			rogueStream(t, addr, message{kind: helloMsg, from: tc.from}, message{kind: ghostMsg, from: 2})
-			if got := nextDelivery(t, m); got.kind != eofMsg || got.from != -1 {
-				t.Fatalf("delivery is %s from node %d, want an anonymous end of stream", got.kind, got.from)
+			waitEnd(t, mb.ends.lost, "an anonymous end of stream")
+			if err := mb.leftoverErr(); err != nil {
+				t.Fatalf("the refused stream delivered: %v", err)
 			}
+			noneFrom2(t, mb)
 			if err := m.Err(); !errors.Is(err, errStreamHello) {
 				t.Fatalf("Err() = %v, want errStreamHello", err)
 			}

@@ -26,11 +26,6 @@ const (
 	// on each connection, identifying the sender. Never delivered to a
 	// node, and refused anywhere but first.
 	helloMsg
-	// eofMsg is a transport-internal sentinel marking one sender's end
-	// of stream, so receivers can fail takes from a dead peer instead
-	// of deadlocking. Never crosses the wire: a stream reader refuses
-	// it, so only the local transport can declare a peer finished.
-	eofMsg
 )
 
 func (k msgKind) String() string {
@@ -43,8 +38,6 @@ func (k msgKind) String() string {
 		return "merge"
 	case helloMsg:
 		return "hello"
-	case eofMsg:
-		return "eof"
 	default:
 		return fmt.Sprintf("msgKind(%d)", int(k))
 	}

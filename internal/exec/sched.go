@@ -59,35 +59,74 @@ type arrival struct {
 	at  time.Time
 }
 
-// mailbox is a node's tag-addressed receive buffer. One receiver
-// goroutine puts deliveries in; the node goroutine takes them out by
-// tag, blocking until the matching message lands. Messages for future
-// launches buffer here until their schedule claims them.
+// mailbox is a node's tag-addressed receive buffer. The transport puts
+// deliveries in; the node goroutine takes them out by tag, blocking
+// until the matching message lands. Messages for future launches buffer
+// here until their schedule claims them.
 type mailbox struct {
 	mu      sync.Mutex
 	arrived map[tagKey]arrival
-	wake    chan struct{} // closed and replaced on an event while a take waits
+	wake    chan struct{} // closed and replaced on a put while a take waits
 	waiters int           // takes blocked on wake
-	dead    []bool        // by sender id: peers that closed their send side
-	anyDead bool          // an unattributable peer death (transport failure)
-	closed  bool          // all peers done; nothing more will arrive
 	err     error         // first protocol violation (e.g. duplicate tag)
+	ends    *ends         // the senders' end-of-stream marks
 }
 
-func newMailbox(nodes int) *mailbox {
-	return &mailbox{
-		arrived: map[tagKey]arrival{},
-		wake:    make(chan struct{}),
-		dead:    make([]bool, nodes),
+func newMailbox(e *ends) *mailbox {
+	return &mailbox{arrived: map[tagKey]arrival{}, wake: make(chan struct{}), ends: e}
+}
+
+// ends marks the end of each stream into a set of mailboxes. No end
+// mark needs to queue behind the data: a sender puts every message
+// before its end is marked, in the same goroutine, and put holds the
+// mailbox lock, so a take that sees the mark under that lock has
+// already seen everything the sender delivered.
+type ends struct {
+	mu      sync.Mutex
+	gone    []chan struct{} // by sender id: closed at that sender's end
+	lost    chan struct{}   // closed at an end no sender can be named for
+	drained chan struct{}   // closed once every stream has ended
+	left    int             // streams not yet ended
+}
+
+func newEnds(nodes, streams int) *ends {
+	e := &ends{gone: make([]chan struct{}, nodes), lost: make(chan struct{}), drained: make(chan struct{}), left: streams}
+	for i := range e.gone {
+		e.gone[i] = make(chan struct{})
+	}
+	if streams == 0 {
+		close(e.drained)
+	}
+	return e
+}
+
+// end marks one stream's end. A sender's end counts once, however often
+// it is reported; from < 0 (a stream that failed before naming its
+// sender) could be any peer's, so it fails every waiting take.
+func (e *ends) end(from int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case from < 0:
+		if !closed(e.lost) {
+			close(e.lost)
+		}
+	case closed(e.gone[from]):
+		return
+	default:
+		close(e.gone[from])
+	}
+	if e.left--; e.left == 0 {
+		close(e.drained)
 	}
 }
 
-// broadcastLocked wakes every blocked take. With none blocked there is
-// nobody to wake: the next take checks the state under mu first.
-func (mb *mailbox) broadcastLocked() {
-	if mb.waiters > 0 {
-		close(mb.wake)
-		mb.wake = make(chan struct{})
+func closed(c chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -104,35 +143,17 @@ func (mb *mailbox) put(m message) {
 	} else {
 		mb.arrived[k] = arrival{msg: m, at: at}
 	}
-	mb.broadcastLocked()
-	mb.mu.Unlock()
-}
-
-// peerDead marks one sender as finished. A sender id outside the node
-// range (-1: a stream that failed before naming its sender) could be any
-// peer, so every take that still waits fails.
-func (mb *mailbox) peerDead(from int) {
-	mb.mu.Lock()
-	if from < 0 || from >= len(mb.dead) {
-		mb.anyDead = true
-	} else {
-		mb.dead[from] = true
+	if mb.waiters > 0 {
+		close(mb.wake)
+		mb.wake = make(chan struct{})
 	}
-	mb.broadcastLocked()
-	mb.mu.Unlock()
-}
-
-// close marks the whole inbox drained (every sender finished).
-func (mb *mailbox) close() {
-	mb.mu.Lock()
-	mb.closed = true
-	mb.broadcastLocked()
 	mb.mu.Unlock()
 }
 
 // take removes and returns the message with tag k, blocking until it
-// arrives. It fails fast if the sender (or the transport) died first.
+// arrives. It fails fast if the sender (or the transport) ended first.
 func (mb *mailbox) take(k tagKey) (message, error) {
+	gone, lost := mb.ends.gone[k.from], mb.ends.lost
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
@@ -143,13 +164,17 @@ func (mb *mailbox) take(k tagKey) (message, error) {
 		if mb.err != nil {
 			return message{}, mb.err
 		}
-		if mb.closed || mb.anyDead || mb.dead[k.from] {
+		if closed(gone) || closed(lost) {
 			return message{}, fmt.Errorf("peer %d exited before sending %s", k.from, k)
 		}
 		wake := mb.wake
 		mb.waiters++
 		mb.mu.Unlock()
-		<-wake
+		select {
+		case <-wake:
+		case <-gone:
+		case <-lost:
+		}
 		mb.mu.Lock()
 		mb.waiters--
 	}

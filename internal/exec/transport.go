@@ -14,20 +14,22 @@ import (
 //     between sender and receiver, which is what lets a node enqueue all
 //     of a launch's outgoing messages before blocking on any receive
 //     (the deadlock-freedom argument in package exec's doc comment).
-//   - Inbox(j) is node j's single merged delivery stream; messages from
-//     different senders interleave arbitrarily, and no per-pair order is
-//     promised either. The dependency scheduler matches deliveries by
-//     tag, never by position, so any interleaving yields the same
-//     result — the flaky transport exists to prove that.
+//   - Mailbox(j) is node j's one receive buffer, which the transport
+//     fills directly; messages from different senders interleave
+//     arbitrarily, and no per-pair order is promised either. The
+//     dependency scheduler matches deliveries by tag, never by
+//     position, so any interleaving yields the same result — the flaky
+//     transport exists to prove that.
 //   - Each delivered message carries its sender in msg.from.
-//   - CloseSend(j) declares node j will send no more; once every node
-//     has closed, each inbox drains and then closes.
+//   - CloseSend(j) declares node j will send no more. Its end of stream
+//     is marked once in j's receivers' mailboxes, after every message j
+//     sent; once every sender has ended, each mailbox is drained.
 //
 // Implementations may also expose Err() error, which Run checks after
 // the nodes exit (socket transports report stream failures this way).
 type Transport interface {
 	Send(from, to int, msg message)
-	Inbox(to int) <-chan message
+	Mailbox(to int) *mailbox
 	CloseSend(from int)
 }
 
@@ -56,48 +58,23 @@ func TransportByName(name string) (TransportFactory, error) {
 	}
 }
 
-// queue is the package's one unbounded elastic FIFO: push appends
-// under a lock and never blocks, and a single consumer takes whatever
-// has accumulated, waiting on the doorbell when there is nothing. It
-// sits wherever a sender must not wait on a slower receiver — in front
-// of every node's inbox and in front of every socket writer — which is
-// what lets a node enqueue all of a launch's outgoing messages before
-// blocking on any receive (a cycle of waiting nodes would require some
-// send to block, and none can).
+// queue is the package's one unbounded elastic FIFO, in front of every
+// socket writer: push appends under a lock and never blocks, and the
+// writer takes whatever has accumulated, waiting on the doorbell when
+// there is nothing. A sender therefore never waits on a slow socket,
+// which is what lets a node enqueue all of a launch's outgoing messages
+// before blocking on any receive (a cycle of waiting nodes would require
+// some send to block, and none can).
 type queue struct {
 	mu      sync.Mutex
 	q       []message
 	spare   []message     // the batch the last take handed out
 	wake    chan struct{} // 1-buffered doorbell
 	senders int           // producers that have not called done
-	out     chan message  // inboxes only: the forwarder's delivery channel
 }
 
 func newQueue(senders int) *queue {
 	return &queue{wake: make(chan struct{}, 1), senders: senders}
-}
-
-// newInbox returns a queue whose forwarder goroutine delivers into out,
-// closing it once every sender is done and the queue has drained.
-func newInbox(senders int) *queue {
-	q := newQueue(senders)
-	q.out = make(chan message)
-	go func() {
-		for {
-			batch, open := q.take()
-			for _, m := range batch {
-				q.out <- m
-			}
-			if len(batch) == 0 {
-				if !open {
-					close(q.out)
-					return
-				}
-				q.wait()
-			}
-		}
-	}()
-	return q
 }
 
 func (q *queue) push(m message) {
@@ -108,22 +85,12 @@ func (q *queue) push(m message) {
 }
 
 // done declares one sender finished; everything it pushed earlier is
-// still delivered.
+// still taken.
 func (q *queue) done() {
 	q.mu.Lock()
 	q.senders--
 	q.mu.Unlock()
 	q.ring()
-}
-
-// senderEOF marks one sender's end of stream on an inbox: an eofMsg
-// sentinel is enqueued behind the sender's earlier messages (so a
-// receiver never sees the death notice before the data), then the
-// sender is done. from may be -1 when the dead sender's identity is
-// unknown (a stream that failed before its hello frame).
-func (q *queue) senderEOF(from int) {
-	q.push(message{kind: eofMsg, from: from})
-	q.done()
 }
 
 func (q *queue) ring() {
@@ -150,18 +117,21 @@ func (q *queue) take() (batch []message, open bool) {
 // wait blocks until a push or done has happened since the last take.
 func (q *queue) wait() { <-q.wake }
 
-// inprocTransport is the in-process default: per-receiver elastic
-// queues, no copies beyond the message structs themselves.
+// inprocTransport is the in-process default: Send puts the message
+// straight into the receiver's mailbox from the sender's goroutine, and
+// every mailbox shares one set of end marks, so a sender's end costs one
+// channel close however many nodes there are.
 type inprocTransport struct {
-	inboxes []*queue
+	boxes []*mailbox
+	ends  *ends
 }
 
 // InprocTransport returns the factory for the in-process transport.
 func InprocTransport() TransportFactory {
 	return func(nodes int) (Transport, error) {
-		t := &inprocTransport{inboxes: make([]*queue, nodes)}
-		for j := 0; j < nodes; j++ {
-			t.inboxes[j] = newInbox(nodes - 1)
+		t := &inprocTransport{boxes: make([]*mailbox, nodes), ends: newEnds(nodes, nodes)}
+		for j := range t.boxes {
+			t.boxes[j] = newMailbox(t.ends)
 		}
 		return t, nil
 	}
@@ -169,19 +139,12 @@ func InprocTransport() TransportFactory {
 
 func (t *inprocTransport) Send(from, to int, msg message) {
 	msg.from = from
-	t.inboxes[to].push(msg)
+	t.boxes[to].put(msg)
 }
 
-func (t *inprocTransport) Inbox(to int) <-chan message { return t.inboxes[to].out }
+func (t *inprocTransport) Mailbox(to int) *mailbox { return t.boxes[to] }
 
-func (t *inprocTransport) CloseSend(from int) {
-	for to, q := range t.inboxes {
-		if to == from {
-			continue
-		}
-		q.senderEOF(from)
-	}
-}
+func (t *inprocTransport) CloseSend(from int) { t.ends.end(from) }
 
 // flakyTransport wraps another transport and injects seeded random
 // per-message latency, which reorders deliveries across — and within —
@@ -231,10 +194,10 @@ func (t *flakyTransport) Send(from, to int, msg message) {
 	}()
 }
 
-func (t *flakyTransport) Inbox(to int) <-chan message { return t.inner.Inbox(to) }
+func (t *flakyTransport) Mailbox(to int) *mailbox { return t.inner.Mailbox(to) }
 
-// CloseSend waits for the sender's in-flight delayed messages so the
-// inner inbox never closes ahead of a delivery.
+// CloseSend waits for the sender's in-flight delayed messages so its end
+// is never marked ahead of a delivery.
 func (t *flakyTransport) CloseSend(from int) {
 	t.pending[from].Wait()
 	t.inner.CloseSend(from)

@@ -240,17 +240,20 @@ func runFailsBeforeSending(t *testing.T, prog *exec.Program, nodes int) error {
 	return err
 }
 
-// TestWindowBytesPerNodeFlat pins what one node stores at 256 nodes: on
-// weak-scaled circuit and pennant-h2, every node's windows hold at most
-// 2× the machine's bytes per node, at 32 nodes and at 256. A node
-// copying the hull of its scattered sets holds a share of the machine
-// that does not shrink with the node count. Total allocation per node
-// still grows from 32 to 256 nodes, through the end-of-stream fan-in
-// each node receives from every peer; it is logged, not pinned.
+// TestWindowBytesPerNodeFlat pins what one node stores and allocates
+// at 256 nodes: on weak-scaled circuit and pennant-h2, every node's
+// windows hold at most 2× the machine's bytes per node, at 32 nodes and
+// at 256, and a run allocates at most 1.2× as many bytes per node at 256
+// nodes as at 32. A node copying the hull of its scattered sets holds a
+// share of the machine that does not shrink with the node count; a
+// transport that pays every node's end of stream into every other
+// node's receive path allocates per node in proportion to the node
+// count.
 func TestWindowBytesPerNodeFlat(t *testing.T) {
-	const ceiling = 2.0
+	const ceiling, allocGrowth = 2.0, 1.2
 	wide := wideApps(t)
 	for _, app := range []appCase{wide[1].appCase, wide[3].appCase} {
+		var allocs []float64 // bytes allocated per node, by node count
 		for _, nodes := range []int{32, 256} {
 			prog, err := app.build(nodes)
 			if err != nil {
@@ -265,12 +268,17 @@ func TestWindowBytesPerNodeFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 			goruntime.ReadMemStats(&after)
+			allocs = append(allocs, float64(after.TotalAlloc-before.TotalAlloc)/float64(nodes))
 			t.Logf("%s on %d nodes: largest node window %.1f KB, %.2f× the machine's %.1f KB per node; %.0f KB allocated per node",
-				app.name, nodes, float64(most)/1024, float64(most)/share, share/1024, float64(after.TotalAlloc-before.TotalAlloc)/float64(nodes)/1024)
+				app.name, nodes, float64(most)/1024, float64(most)/share, share/1024, allocs[len(allocs)-1]/1024)
 			if float64(most) > ceiling*share {
 				t.Errorf("%s on %d nodes: a node's windows hold %d bytes, %.2f× the machine's %.0f bytes per node, want at most %.0f×",
 					app.name, nodes, most, float64(most)/share, share, ceiling)
 			}
+		}
+		if growth := allocs[1] / allocs[0]; growth > allocGrowth {
+			t.Errorf("%s: a run allocates %.0f KB per node at 256 nodes, %.2f× the %.0f KB at 32, want at most %.1f×",
+				app.name, allocs[1]/1024, growth, allocs[0]/1024, allocGrowth)
 		}
 	}
 }
