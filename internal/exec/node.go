@@ -41,6 +41,19 @@ type node struct {
 	pending []*pendingFinish
 }
 
+// newNode returns node id of a run of prog under cfg, on transport tr.
+func newNode(prog *Program, cfg Config, id int, tr Transport) *node {
+	return &node{
+		id:    id,
+		cfg:   cfg,
+		prog:  prog,
+		tr:    tr,
+		mb:    tr.Mailbox(id),
+		stats: make([][]sim.NodeStats, cfg.Steps),
+		times: make([][]NodeTiming, cfg.Steps),
+	}
+}
+
 // pendingFinish is a launch whose shard has run and whose sends are out,
 // but whose write-back receives and folds have not been applied yet.
 type pendingFinish struct {
@@ -48,15 +61,30 @@ type pendingFinish struct {
 	res   *rewrite.ShardResult
 }
 
-// run derives the node's schedule, copies its window of each region out
-// of the program's initial data (the shared prog.Machine, which it only
-// reads), executes every launch of the schedule,
-// then settles every deferred finish so the gather reads fully merged
-// data. It returns the final owners the gather packs.
+// run sets the node up, executes every launch of its schedule, then
+// settles every deferred finish so the gather reads fully merged data.
+// It returns the final owners the gather packs.
 func (n *node) run() ([]finalOwner, error) {
-	scheds, final, win, err := schedule(n.prog, n.cfg, n.id)
+	scheds, final, err := n.setup()
 	if err != nil {
 		return nil, err
+	}
+	for _, sc := range scheds {
+		n.stats[sc.step] = append(n.stats[sc.step], sc.stats)
+		if err := n.runLaunch(sc); err != nil {
+			return nil, fmt.Errorf("step %d, launch %s: %w", sc.step, sc.task.Launch.Name, err)
+		}
+	}
+	return final, n.settle(len(n.pending))
+}
+
+// setup derives the node's schedule and copies its window of each region
+// out of the program's initial data (the shared prog.Machine, which it
+// only reads). It returns the launches in order and the final owners.
+func (n *node) setup() ([]*launchSched, []finalOwner, error) {
+	scheds, final, win, err := schedule(n.prog, n.cfg, n.id)
+	if err != nil {
+		return nil, nil, err
 	}
 	whole := n.prog.Machine
 	n.m = &ir.Machine{Regions: make(map[string]*region.Region, len(whole.Regions)), Funcs: whole.Funcs, Partitions: whole.Partitions}
@@ -66,13 +94,7 @@ func (n *node) run() ([]finalOwner, error) {
 	for step := range n.times {
 		n.times[step] = make([]NodeTiming, len(n.prog.Plan.Tasks))
 	}
-	for _, sc := range scheds {
-		n.stats[sc.step] = append(n.stats[sc.step], sc.stats)
-		if err := n.runLaunch(sc); err != nil {
-			return nil, fmt.Errorf("step %d, launch %s: %w", sc.step, sc.task.Launch.Name, err)
-		}
-	}
-	return final, n.settle(len(n.pending))
+	return scheds, final, nil
 }
 
 // send stamps the transfer's tag and set on msg and hands it to the
